@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"threatraptor/internal/relational"
@@ -687,10 +688,13 @@ func containsID(ids []int64, id int64) bool {
 	return relational.ContainsSortedInt64(ids, id)
 }
 
-// candidates enumerates anchor candidates for a node pattern, preferring
-// an explicit ID constraint in WHERE ("s.id IN (...)", fed forward by the
-// TBQL scheduler), then a property index, then the label scan, then all
-// nodes.
+// candidates enumerates anchor candidates for a node pattern. The anchor
+// order is: an already-bound variable, the scheduler's binding set, an
+// explicit ID constraint in WHERE ("s.id IN (...)"), an indexed property
+// equality (inline {prop: v} or a top-level WHERE conjunct
+// "s.prop = 'literal'"), then the label scan, then all nodes. An index
+// list is a subsequence of the label scan's order, so anchoring on it
+// changes the work done, never the rows or their order.
 func (m *matcher) candidates(np NodePat) ([]int64, error) {
 	if np.Var != "" {
 		if id, bound := m.nodes[np.Var]; bound {
@@ -718,9 +722,17 @@ func (m *matcher) candidates(np NodePat) ([]int64, error) {
 	}
 	if np.Label != "" {
 		for prop, v := range np.Props {
-			if ids, ok := m.lookupIndexed(np.Label, prop, v); ok {
-				m.stats.IndexLookups++
+			if ids, ok := m.probeIndex(np.Label, prop, v); ok {
 				return ids, nil
+			}
+		}
+		if np.Var != "" {
+			for _, c := range m.conjuncts {
+				if prop, v, ok := propEquality(c, np.Var); ok {
+					if ids, ok := m.probeIndex(np.Label, prop, v); ok {
+						return ids, nil
+					}
+				}
 			}
 		}
 		return m.labelIDs(np.Label), nil
@@ -731,21 +743,66 @@ func (m *matcher) candidates(np NodePat) ([]int64, error) {
 	return m.g.AllNodeIDs(), nil
 }
 
-// sortedLabelIDs, lookupIndexed, and labelIDs dispatch the anchor index
-// probes on the matcher's mode (view probes lock and trim; live probes
-// are the writer-goroutine fast path).
+// probeIndex anchors on the (label, prop) property index when one exists
+// and an exact-key probe finds exactly the nodes whose property Equal()s
+// v. Equal also matches the string '42' with the int 42, so an int
+// literal or a numeric string spans two keys and falls back to the label
+// scan; so does NULL, which equals nothing.
+func (m *matcher) probeIndex(label, prop string, v Value) ([]int64, bool) {
+	if v.K != relational.KindString {
+		return nil, false
+	}
+	if _, err := strconv.ParseInt(v.S, 10, 64); err == nil {
+		return nil, false
+	}
+	var ids []int64
+	var ok bool
+	if m.view != nil {
+		ids, ok = m.view.lookupIndexed(label, prop, v)
+	} else {
+		ids, ok = m.g.lookupIndexed(label, prop, v)
+	}
+	if ok {
+		m.stats.IndexLookups++
+	}
+	return ids, ok
+}
+
+// propEquality matches a WHERE conjunct "varName.prop = literal", in
+// either operand order, on a stored property (not the "id" and "label"
+// pseudo-properties resolve answers itself).
+func propEquality(c relational.Expr, varName string) (string, Value, bool) {
+	bin, ok := c.(relational.BinOp)
+	if !ok || bin.Op != "=" {
+		return "", Value{}, false
+	}
+	col, ok := bin.L.(relational.ColRef)
+	lit, okLit := bin.R.(relational.Lit)
+	if !ok || !okLit {
+		col, ok = bin.R.(relational.ColRef)
+		lit, okLit = bin.L.(relational.Lit)
+		if !ok || !okLit {
+			return "", Value{}, false
+		}
+	}
+	switch col.Column {
+	case "", "id", "label":
+		return "", Value{}, false
+	}
+	if col.Qualifier != varName {
+		return "", Value{}, false
+	}
+	return col.Column, lit.V, true
+}
+
+// sortedLabelIDs and labelIDs (like probeIndex) dispatch the anchor
+// probes on the matcher's mode (view probes lock and trim; live probes are
+// the writer-goroutine fast path).
 func (m *matcher) sortedLabelIDs(label string) ([]int64, bool) {
 	if m.view != nil {
 		return m.view.sortedLabelIDs(label)
 	}
 	return m.g.sortedLabelIDs(label)
-}
-
-func (m *matcher) lookupIndexed(label, prop string, v Value) ([]int64, bool) {
-	if m.view != nil {
-		return m.view.lookupIndexed(label, prop, v)
-	}
-	return m.g.lookupIndexed(label, prop, v)
 }
 
 func (m *matcher) labelIDs(label string) []int64 {

@@ -10,6 +10,18 @@
 // Property values and WHERE expressions reuse the typed Value and
 // expression AST of the relational engine so both backends share one
 // comparison and LIKE semantics.
+//
+// A pattern's first node (its anchor) is enumerated from the narrowest
+// source available, in this order: an already-bound variable, the
+// caller's binding set (ExecParams.Nodes), an "id" constraint in WHERE,
+// an indexed property equality, and finally the label scan. An indexed
+// equality is an inline {prop: v} or a top-level WHERE conjunct
+// "var.prop = 'literal'" (either operand order) on a (label, prop) with
+// a property index. Index lists are kept in node-insertion order, the
+// label scan's order, so the anchor choice never changes the rows or
+// their order. Because Value.Equal matches the string '42' with the int
+// 42 while an index probe is an exact key lookup, an int literal or a
+// numeric string falls back to the label scan.
 package graphdb
 
 import (
@@ -141,11 +153,12 @@ type Graph struct {
 	labelUnsorted map[string]bool
 
 	// mu synchronizes the map structures (nodeIdx, byLabel, propIndex,
-	// labelUnsorted) between the single writer and snapshot-view readers:
-	// node inserts, rollbacks, and index builds take the write lock; view
-	// probes take the read lock (see view.go). Live queries run on the
-	// writer's own goroutine and need no locking; edge appends mutate no
-	// map a view reads and stay lock-free.
+	// labelUnsorted) and the node arena header, which a lazy index build
+	// reads, between the single writer and snapshot-view readers: node
+	// inserts, arena growth, rollbacks, and index builds take the write
+	// lock; view probes take the read lock (see view.go). Live queries run
+	// on the writer's own goroutine and need no locking; edge appends
+	// mutate no map a view reads and stay lock-free.
 	mu sync.RWMutex
 
 	// idsDense records that every node's ID equals its arena offset + 1
@@ -181,7 +194,11 @@ func (g *Graph) ReserveNodes(n int) {
 	if cap(g.nodes) < need {
 		grown := make([]Node, len(g.nodes), relational.GrowCap(cap(g.nodes), need))
 		copy(grown, g.nodes)
+		// A lazy index build (CreateIndex from a snapshot reader's first
+		// probe) reads the node arena under mu.
+		g.mu.Lock()
 		g.nodes = grown
+		g.mu.Unlock()
 	}
 	growAdj := func(adj [][]int32) [][]int32 {
 		if cap(adj) < need {
@@ -747,11 +764,14 @@ func (g *Graph) lookupIndexed(label, prop string, v Value) ([]int64, bool) {
 	g.ensurePropIndex(label, prop)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	byProp, ok := g.propIndex[label]
-	if !ok {
-		return nil, false
-	}
-	vals, ok := byProp[prop]
+	return g.indexListLocked(label, prop, v)
+}
+
+// indexListLocked returns the (label, prop) index list for v and whether
+// that index exists. The list holds the matching IDs in node-insertion
+// order, a subsequence of the label's byLabel list. Callers hold g.mu.
+func (g *Graph) indexListLocked(label, prop string, v Value) ([]int64, bool) {
+	vals, ok := g.propIndex[label][prop]
 	if !ok {
 		return nil, false
 	}

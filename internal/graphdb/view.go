@@ -108,24 +108,30 @@ func (v *View) inOffsets(id int64) []int32 {
 	return v.in[off>>adjChunkShift][off&(adjChunkSize-1)]
 }
 
-// labelIDs returns the view's node IDs for a label. Sorted label lists
-// trim to the captured prefix in place (the returned header is immutable
-// after unlock); unsorted lists filter into a fresh slice under the lock.
+// labelIDs returns the view's node IDs for a label.
 func (v *View) labelIDs(label string) []int64 {
 	g := v.g
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	l := g.byLabel[label]
-	if g.labelUnsorted[label] {
-		out := make([]int64, 0, len(l))
-		for _, id := range l {
-			if id <= v.maxNodeID {
-				out = append(out, id)
-			}
-		}
-		return out
+	return v.visibleLocked(label, g.byLabel[label])
+}
+
+// visibleLocked restricts l, the label's byLabel list or a subsequence of
+// it (as every property-index list is), to the IDs the view captured.
+// While the label's list is ascending, so is l, and l trims to its captured
+// prefix in place (the returned header is immutable after unlock);
+// otherwise l filters into a fresh slice. Callers hold g.mu.
+func (v *View) visibleLocked(label string, l []int64) []int64 {
+	if !v.g.labelUnsorted[label] {
+		return trimSortedIDs(l, v.maxNodeID)
 	}
-	return trimSortedIDs(l, v.maxNodeID)
+	out := make([]int64, 0, len(l))
+	for _, id := range l {
+		if id <= v.maxNodeID {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // sortedLabelIDs is the view-mode counterpart of Graph.sortedLabelIDs:
@@ -142,30 +148,17 @@ func (v *View) sortedLabelIDs(label string) ([]int64, bool) {
 	return trimSortedIDs(g.byLabel[found], v.maxNodeID), true
 }
 
-// lookupIndexed probes a property index inside the view. The matching IDs
-// are filtered into a fresh slice under the lock: property-index lists
-// carry no sortedness flag, so the trim cannot assume order.
+// lookupIndexed probes a property index inside the view.
 func (v *View) lookupIndexed(label, prop string, val Value) ([]int64, bool) {
 	g := v.g
 	g.ensurePropIndex(label, prop)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	byProp, ok := g.propIndex[label]
+	l, ok := g.indexListLocked(label, prop, val)
 	if !ok {
 		return nil, false
 	}
-	vals, ok := byProp[prop]
-	if !ok {
-		return nil, false
-	}
-	l := vals[val]
-	out := make([]int64, 0, len(l))
-	for _, id := range l {
-		if id <= v.maxNodeID {
-			out = append(out, id)
-		}
-	}
-	return out, true
+	return v.visibleLocked(label, l), true
 }
 
 // allNodeIDs returns every captured node ID in insertion order.

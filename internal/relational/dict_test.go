@@ -3,7 +3,11 @@ package relational
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // buildDictPair creates two identical databases — one with the "op" column
@@ -141,4 +145,96 @@ func TestDictEncodeRejectsMisuse(t *testing.T) {
 	if err := tbl.DictEncode("s"); err == nil {
 		t.Fatal("non-empty table must be rejected")
 	}
+}
+
+// TestSnapshotOfEmptyDictionaryStaysFrozen: a snapshot captured before a
+// dict-encoded column holds any value must keep decoding through its own,
+// empty dictionary while the writer ingests and interns new values. The
+// inner level's index probe finds the writer's new rows, trims them to
+// the snapshot's zero rows, and still runs the dict-coded filters over
+// the empty selection; those must never read the live, growing decode
+// slice. Run under -race in CI.
+func TestSnapshotOfEmptyDictionaryStaysFrozen(t *testing.T) {
+	db := NewDB()
+	drv, err := db.CreateTable("drivers", Schema{{"id", KindInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := drv.Insert([]Value{Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events, err := db.CreateTable("events", Schema{{"id", KindInt}, {"op", KindString}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := events.DictEncode("op"); err != nil {
+		t.Fatal(err)
+	}
+	if err := events.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	var snap Snap
+	snap.Capture(db)
+	var prepared []*Prepared
+	for _, q := range []string{
+		"SELECT d.id FROM drivers d, events e WHERE e.op = 'read' AND e.id = d.id",
+		"SELECT d.id FROM drivers d, events e WHERE e.op LIKE 're%' AND e.id = d.id",
+		"SELECT d.id FROM drivers d, events e WHERE e.op IN ('read', 'send') AND e.id = d.id",
+	} {
+		stmt, err := ParseSelect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := db.Prepare(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared = append(prepared, pr)
+	}
+
+	var (
+		hunts atomic.Int64
+		done  = make(chan struct{})
+		wg    sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, pr := range prepared {
+				rs, _, err := pr.Query(&Params{Snap: &snap})
+				if err != nil {
+					t.Errorf("snapshot query: %v", err)
+					return
+				}
+				if rs.Len() != 0 {
+					t.Errorf("snapshot captured before any event matched %d rows", rs.Len())
+					return
+				}
+			}
+			hunts.Add(1)
+		}
+	}()
+	ops := []string{"read", "write", "execute", "connect", "send", "receive"}
+	for i := 0; i < 400; i++ {
+		before := hunts.Load()
+		op := fmt.Sprintf("%s%d", ops[i%len(ops)], i/len(ops))
+		if err := events.Insert([]Value{Int(int64(i % 50)), Str(op)}); err != nil {
+			t.Fatal(err)
+		}
+		// Interleave even on a single CPU: now and then wait for the
+		// hunter instead of finishing the ingest before it is scheduled.
+		for deadline := time.Now().Add(time.Second); i%20 == 0 && hunts.Load() == before && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	wg.Wait()
 }

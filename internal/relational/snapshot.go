@@ -72,7 +72,12 @@ func (t *Table) snapInto(dst *Table) {
 	for i := range dst.cols {
 		c := &dst.cols[i]
 		if c.dict != nil {
+			// A nil dvals means "live column" to decode and dictVals, so
+			// an empty dictionary freezes as a non-nil empty slice.
 			c.dvals = c.dict.vals
+			if c.dvals == nil {
+				c.dvals = []string{}
+			}
 		}
 	}
 }

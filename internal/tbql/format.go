@@ -237,7 +237,9 @@ func formatExpr(e relational.Expr) string {
 
 func formatValue(v relational.Value) string {
 	if v.K == relational.KindString {
-		return `"` + strings.ReplaceAll(v.S, `"`, `\"`) + `"`
+		// The lexer reads a backslash as an escape for the next byte, so
+		// backslashes are escaped first, then quotes.
+		return `"` + strings.ReplaceAll(strings.ReplaceAll(v.S, `\`, `\\`), `"`, `\"`) + `"`
 	}
 	return v.String()
 }
