@@ -206,8 +206,9 @@ func BenchmarkTable9Fuzzy(b *testing.B) {
 	})
 }
 
-// BenchmarkTable10Conciseness measures query compilation (the formatter
-// and the SQL/Cypher compilers that Table X counts).
+// BenchmarkTable10Conciseness measures producing the texts Table X
+// counts: the TBQL formatter, and the monolithic SQL/Cypher lowering
+// printed by relational.Format / graphdb.Format.
 func BenchmarkTable10Conciseness(b *testing.B) {
 	en, aa, _ := dataLeakAnalyzed(b)
 	b.Run("tbql-format", func(b *testing.B) {

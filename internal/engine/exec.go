@@ -968,7 +968,7 @@ func (en *Engine) ExecuteMonolithicSQL(ctx context.Context, a *tbql.Analyzed) (r
 // graph databases use for multi-MATCH statements (query type (d) in RQ4).
 func (en *Engine) ExecuteMonolithicCypher(ctx context.Context, a *tbql.Analyzed) (rs *relational.ResultSet, stats Stats, err error) {
 	defer guard(a, &err)
-	q, err := en.planFor(a, nil).monolithicCypher(en.Store, a)
+	q, err := en.planFor(a, nil).monolithicCypher(a)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -250,8 +250,9 @@ func lowerPathQuery(b timeBounds, pm *qir.PathMatch) *graphdb.Query {
 // lowerMonolithicStmt lowers the whole query into one statement AST — the
 // naive plan the paper compares against (query type (b) in RQ4): every
 // pattern's joins and every filter woven into a single FROM/WHERE, entity
-// tables first, the textbook declarative translation.
-func lowerMonolithicStmt(s *Store, a *tbql.Analyzed) (*relational.SelectStmt, error) {
+// tables first, the textbook declarative translation. Windows resolve
+// against the caller's fixed bounds, as in the per-pattern lowering.
+func lowerMonolithicStmt(b timeBounds, a *tbql.Analyzed) (*relational.SelectStmt, error) {
 	q := a.Query
 	var from []relational.TableRef
 	var conds []relational.Expr
@@ -283,7 +284,7 @@ func lowerMonolithicStmt(s *Store, a *tbql.Analyzed) (*relational.SelectStmt, er
 			conds = append(conds, qualify(p.IDFilter, ev, nil))
 		}
 		if w := windowOf(q, p); w != nil {
-			lo, hi := s.timeWindow(w)
+			lo, hi := b.timeWindow(w)
 			conds = append(conds,
 				binOp(">=", colRef(ev, "start_time"), intLit(lo)),
 				binOp("<=", colRef(ev, "start_time"), intLit(hi)))
@@ -379,7 +380,7 @@ func temporalExpr(a *tbql.Analyzed, rel tbql.Relation) (relational.Expr, error) 
 // pattern per event pattern with its filters adjacent, labels repeated on
 // every occurrence, and the temporal constraints conjoined at the end.
 // The caller selects clause-at-a-time execution.
-func lowerMonolithicCypher(s *Store, a *tbql.Analyzed) (*graphdb.Query, error) {
+func lowerMonolithicCypher(b timeBounds, a *tbql.Analyzed) (*graphdb.Query, error) {
 	q := a.Query
 	filtered := make(map[string]bool) // entity filters emitted once
 	node := func(id string) graphdb.NodePat {
@@ -412,7 +413,7 @@ func lowerMonolithicCypher(s *Store, a *tbql.Analyzed) (*graphdb.Query, error) {
 				conds = append(conds, qualify(p.IDFilter, ev, nil))
 			}
 			if w := windowOf(q, p); w != nil {
-				lo, hi := s.timeWindow(w)
+				lo, hi := b.timeWindow(w)
 				conds = append(conds,
 					binOp(">=", colRef(ev, "start_time"), intLit(lo)),
 					binOp("<=", colRef(ev, "start_time"), intLit(hi)))

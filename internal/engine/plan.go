@@ -274,14 +274,14 @@ func (en *Engine) DropViews(a *tbql.Analyzed) {
 }
 
 // monolithicSQL returns the plan's compiled monolithic statement, lowering
-// it on first use.
+// it on first use against the plan's captured bounds.
 func (p *queryPlan) monolithicSQL(s *Store, a *tbql.Analyzed) (*relational.Prepared, error) {
 	p.monoMu.Lock()
 	defer p.monoMu.Unlock()
 	if p.monoSQL != nil || p.monoSQLErr != nil {
 		return p.monoSQL, p.monoSQLErr
 	}
-	stmt, err := lowerMonolithicStmt(s, a)
+	stmt, err := lowerMonolithicStmt(p.bounds, a)
 	if err == nil {
 		p.monoSQL, err = s.Rel.Prepare(stmt)
 	}
@@ -291,13 +291,13 @@ func (p *queryPlan) monolithicSQL(s *Store, a *tbql.Analyzed) (*relational.Prepa
 
 // monolithicCypher returns the plan's lowered monolithic graph query (the
 // clause-at-a-time flag is set here, as the RQ4 comparison requires).
-func (p *queryPlan) monolithicCypher(s *Store, a *tbql.Analyzed) (*graphdb.Query, error) {
+func (p *queryPlan) monolithicCypher(a *tbql.Analyzed) (*graphdb.Query, error) {
 	p.monoMu.Lock()
 	defer p.monoMu.Unlock()
 	if p.monoCy != nil || p.monoCyErr != nil {
 		return p.monoCy, p.monoCyErr
 	}
-	q, err := lowerMonolithicCypher(s, a)
+	q, err := lowerMonolithicCypher(p.bounds, a)
 	if err == nil {
 		q.ClauseAtATime = true
 	}

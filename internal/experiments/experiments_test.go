@@ -140,6 +140,45 @@ func TestTable10Shape(t *testing.T) {
 	}
 }
 
+// TestTable10Counts pins Table X's per-case sizes. The SQL and Cypher
+// columns count the text Format prints from the monolithic ASTs that the
+// RQ4 comparison executes, so a change to the lowering or to either
+// printer shows up here as a moved count.
+func TestTable10Counts(t *testing.T) {
+	want := []Table10Row{
+		{"tc_clearscope_1", 6, 423, 71, 1086, 149, 447, 71, 723, 89},
+		{"tc_clearscope_2", 4, 242, 45, 638, 91, 258, 45, 417, 54},
+		{"tc_clearscope_3", 1, 128, 13, 274, 34, 132, 13, 186, 19},
+		{"tc_fivedirections_1", 7, 590, 92, 1378, 190, 618, 92, 930, 116},
+		{"tc_fivedirections_2", 4, 266, 47, 655, 93, 282, 47, 434, 56},
+		{"tc_fivedirections_3", 2, 171, 26, 367, 50, 179, 26, 250, 31},
+		{"tc_theia_1", 3, 199, 36, 506, 71, 211, 36, 337, 43},
+		{"tc_theia_2", 4, 290, 49, 782, 111, 306, 49, 505, 64},
+		{"tc_theia_3", 4, 254, 47, 701, 101, 270, 47, 452, 59},
+		{"tc_theia_4", 3, 239, 40, 641, 90, 251, 40, 421, 52},
+		{"tc_trace_1", 5, 326, 59, 877, 124, 346, 59, 576, 73},
+		{"tc_trace_2", 4, 286, 49, 778, 111, 302, 49, 501, 64},
+		{"tc_trace_3", 2, 143, 24, 346, 48, 151, 24, 229, 29},
+		{"tc_trace_4", 2, 158, 28, 457, 68, 166, 28, 284, 39},
+		{"tc_trace_5", 3, 230, 40, 632, 90, 242, 40, 412, 52},
+		{"password_crack", 8, 509, 93, 1448, 211, 541, 93, 915, 123},
+		{"data_leak", 8, 493, 98, 1388, 201, 525, 98, 906, 123},
+		{"vpnfilter", 9, 535, 103, 1525, 222, 571, 103, 981, 130},
+	}
+	rows, err := Table10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		if r != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, r, want[i])
+		}
+	}
+}
+
 func TestReductionAblationShape(t *testing.T) {
 	rows, err := ReductionAblation(0.1)
 	if err != nil {

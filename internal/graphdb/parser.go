@@ -440,12 +440,19 @@ func (p *cypherParser) parseRelPat() (RelPat, bool, error) {
 	return r, true, nil
 }
 
+// parseLiteral reads an integer (including a negative "-N") or string
+// literal.
 func (p *cypherParser) parseLiteral() (Value, error) {
 	t := p.cur()
+	sign := ""
+	if t.kind == tokSymbol && t.text == "-" && p.toks[p.i+1].kind == tokNumber {
+		p.advance()
+		sign, t = "-", p.cur()
+	}
 	switch t.kind {
 	case tokNumber:
 		p.advance()
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		n, err := strconv.ParseInt(sign+t.text, 10, 64)
 		if err != nil {
 			return relational.Null(), err
 		}
@@ -597,16 +604,9 @@ func (p *cypherParser) parseValueList() ([]relational.Expr, error) {
 func (p *cypherParser) parsePrimary() (relational.Expr, error) {
 	t := p.cur()
 	switch t.kind {
-	case tokNumber:
-		p.advance()
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		return relational.Lit{V: relational.Int(n)}, nil
-	case tokString:
-		p.advance()
-		return relational.Lit{V: relational.Str(t.text)}, nil
+	case tokNumber, tokString:
+		v, err := p.parseLiteral()
+		return relational.Lit{V: v}, err
 	case tokIdent:
 		if cypherReserved[strings.ToLower(t.text)] {
 			return nil, fmt.Errorf("cypher: unexpected keyword %q at %d", t.text, t.pos)
@@ -621,13 +621,17 @@ func (p *cypherParser) parsePrimary() (relational.Expr, error) {
 		}
 		return relational.ColRef{Column: t.text}, nil
 	case tokSymbol:
-		if t.text == "(" {
+		switch {
+		case t.text == "(":
 			p.advance()
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 			return e, p.expectSym(")")
+		case t.text == "-" && p.toks[p.i+1].kind == tokNumber:
+			v, err := p.parseLiteral()
+			return relational.Lit{V: v}, err
 		}
 	}
 	return nil, fmt.Errorf("cypher: unexpected token %q at %d", t.text, t.pos)

@@ -70,10 +70,11 @@ type InList struct {
 }
 
 // Param is a placeholder for an integer value bound at execution time
-// through Params.Ints[Slot]. Parameters never appear in parsed SQL text;
-// statement builders (the TBQL engine's logical-plan lowering) insert them
-// so one compiled plan serves every execution, with the varying values
-// bound per call instead of spliced into a fresh statement.
+// through Params.Ints[Slot]. Statement builders (the TBQL engine's
+// logical-plan lowering) insert them so one compiled plan serves every
+// execution, with the varying values bound per call instead of spliced
+// into a fresh statement. In text a Param is "$slot" ("$slot?" when
+// Prune is set), as Format prints it and ParseSelect reads it.
 type Param struct {
 	Slot int
 	// Prune marks the parameter as an optional constraint: when the bound
@@ -94,7 +95,8 @@ type Param struct {
 // nothing: the conjunct is skipped at execution and an index access
 // planned from it falls back to the access the level would otherwise use.
 // Optional is how the TBQL engine collapses its per-binding-set plan
-// variants into one compiled plan.
+// variants into one compiled plan. In text it is "expr IN $slot" ("expr
+// IN $slot?" when Optional is set).
 type ParamIDs struct {
 	E        Expr
 	Slot     int

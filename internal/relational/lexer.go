@@ -85,7 +85,7 @@ func lexSQL(src string) ([]token, error) {
 				}
 			}
 			switch c {
-			case '=', '<', '>', '(', ')', ',', '.', '*', '+', '-':
+			case '=', '<', '>', '(', ')', ',', '.', '*', '+', '-', '$', '?':
 				l.pos++
 				l.emit(tokSymbol, string(c), start)
 			default:

@@ -44,6 +44,9 @@ func (pr *Prepared) QueryCtx(ctx context.Context, params *Params) (*ResultSet, E
 	return pr.p.run(ctx, params)
 }
 
+// Stmt returns the statement AST the plan was compiled from.
+func (pr *Prepared) Stmt() *SelectStmt { return pr.p.stmt }
+
 // Describe renders the physical plan for EXPLAIN output: one line per
 // nested-loop level with its access path and filter counts.
 func (pr *Prepared) Describe() string {

@@ -24,9 +24,11 @@ func ParseCalls() uint64 { return parseCalls.Load() }
 //	[ORDER BY expr [ASC|DESC], ...]
 //	[LIMIT n]
 //
-// Expressions support =, <>, !=, <, <=, >, >=, LIKE, NOT LIKE, IN, NOT IN,
-// AND, OR, NOT, parentheses, integer and 'string' literals, and
-// alias.column references.
+// Expressions support =, <>, !=, <, <=, >, >=, +, -, LIKE, NOT LIKE, IN,
+// NOT IN, AND, OR, NOT, parentheses, integer (including -N) and 'string'
+// literals, and alias.column references. Parameter placeholders read back
+// what Format prints for Param ("$slot", "$slot?" when prunable) and
+// ParamIDs ("expr IN $slot", "expr IN $slot?" when optional).
 func ParseSelect(src string) (*SelectStmt, error) {
 	parseCalls.Add(1)
 	toks, err := lexSQL(src)
@@ -303,6 +305,13 @@ func (p *sqlParser) parseComparison() (Expr, error) {
 		return BinOp{Op: "like", L: l, R: r}, nil
 	}
 	if p.kw("in") {
+		if t := p.cur(); t.kind == tokSymbol && t.text == "$" {
+			slot, optional, err := p.parsePlaceholder()
+			if err != nil {
+				return nil, err
+			}
+			return ParamIDs{E: l, Slot: slot, Optional: optional}, nil
+		}
 		vals, err := p.parseValueList()
 		if err != nil {
 			return nil, err
@@ -372,12 +381,7 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.kind {
 	case tokNumber:
-		p.advance()
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		return Lit{V: Int(n)}, nil
+		return p.parseInt("")
 	case tokString:
 		p.advance()
 		return Lit{V: Str(t.text)}, nil
@@ -395,7 +399,8 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 		}
 		return ColRef{Column: t.text}, nil
 	case tokSymbol:
-		if t.text == "(" {
+		switch {
+		case t.text == "(":
 			p.advance()
 			e, err := p.parseExpr()
 			if err != nil {
@@ -405,7 +410,43 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 				return nil, err
 			}
 			return e, nil
+		case t.text == "-" && p.toks[p.i+1].kind == tokNumber:
+			p.advance()
+			return p.parseInt("-")
+		case t.text == "$":
+			slot, prune, err := p.parsePlaceholder()
+			if err != nil {
+				return nil, err
+			}
+			return Param{Slot: slot, Prune: prune}, nil
 		}
 	}
 	return nil, fmt.Errorf("sql: unexpected token %q at %d", t.text, t.pos)
+}
+
+// parseInt reads the current number token as an integer literal, with
+// sign prepended ("-" for a negative literal).
+func (p *sqlParser) parseInt(sign string) (Expr, error) {
+	t := p.cur()
+	p.advance()
+	n, err := strconv.ParseInt(sign+t.text, 10, 64)
+	if err != nil {
+		return nil, err
+	}
+	return Lit{V: Int(n)}, nil
+}
+
+// parsePlaceholder reads "$slot" with an optional trailing "?", the flag
+// that marks a Param prunable or a ParamIDs optional.
+func (p *sqlParser) parsePlaceholder() (slot int, flag bool, err error) {
+	p.advance() // "$"
+	t := p.cur()
+	if t.kind == tokNumber {
+		slot, err = strconv.Atoi(t.text)
+	}
+	if t.kind != tokNumber || err != nil || slot >= MaxParamSlots {
+		return 0, false, fmt.Errorf("sql: bad parameter slot %q at %d", t.text, t.pos)
+	}
+	p.advance()
+	return slot, p.sym("?"), nil
 }

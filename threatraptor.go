@@ -418,7 +418,8 @@ func (s *System) Hunt(ctx context.Context, tbqlSrc string) (*engine.Result, engi
 
 // Explain compiles a TBQL query without executing it and renders the
 // compilation report: per-pattern logical-plan IR, chosen physical plans,
-// and the equivalent SQL/Cypher texts (the EXPLAIN/debug path).
+// and the SQL statements and Cypher queries that execute, printed from
+// the executed ASTs (the EXPLAIN/debug path).
 func (s *System) Explain(tbqlSrc string) (string, error) {
 	if s.engine == nil {
 		return "", fmt.Errorf("threatraptor: no audit log loaded")
