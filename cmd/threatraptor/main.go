@@ -58,8 +58,6 @@ func main() {
 	huntQueueTimeout := flag.Duration("hunt-queue-timeout", 0, "how long a hunt queues for a slot when -max-hunts is reached")
 	rulesPath := flag.String("rules", "", "detection rule file (JSON) enabling the tactical layer")
 	showIncidents := flag.Bool("incidents", false, "print ranked tactical incidents (requires -rules)")
-	shards := flag.Int("shards", 0, "partition the store into N shards with scatter-gather hunts (0/1 = single store)")
-	partitionBy := flag.String("partition-by", "host", "shard key: host, time, or hash (with -shards)")
 	dataDir := flag.String("data-dir", "", "durable data directory: recover persisted state on start (warm-start hunts need no -log) and persist live ingest")
 	flag.Parse()
 
@@ -79,8 +77,6 @@ func main() {
 	opts.MaxConcurrentHunts = *maxHunts
 	opts.HuntQueueTimeout = *huntQueueTimeout
 	opts.Rules = ruleSet
-	opts.Shards = *shards
-	opts.PartitionBy = *partitionBy
 	opts.DataDir = *dataDir
 
 	// A data dir with persisted state is the store: recover it instead of

@@ -55,7 +55,6 @@ import (
 	"threatraptor/internal/metrics"
 	"threatraptor/internal/rules"
 	"threatraptor/internal/segment"
-	"threatraptor/internal/shard"
 	"threatraptor/internal/stream"
 	"threatraptor/internal/tactical"
 )
@@ -70,8 +69,6 @@ func main() {
 	huntTimeout := flag.Duration("hunt-timeout", 30*time.Second, "per-request hunt deadline (0 = no limit)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 5*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	rulesPath := flag.String("rules", "", "detection rule file (JSON) enabling the tactical layer and /v1/incidents")
-	shards := flag.Int("shards", 0, "partition the store into N shards with scatter-gather hunts (0/1 = single store)")
-	partitionBy := flag.String("partition-by", "host", "shard key: host, time, or hash (with -shards)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + segments); recovered on startup, survives crashes")
 	fsync := flag.String("fsync", "always", "WAL fsync policy with -data-dir: always, batch, or off")
 	segmentEvery := flag.Int("segment-every", 64, "flush a segment generation every N sealed batches with -data-dir")
@@ -81,8 +78,6 @@ func main() {
 	opts := threatraptor.DefaultOptions()
 	opts.MaxConcurrentHunts = *maxHunts
 	opts.HuntQueueTimeout = *huntQueueTimeout
-	opts.Shards = *shards
-	opts.PartitionBy = *partitionBy
 	opts.DataDir = *dataDir
 	opts.FsyncPolicy = *fsync
 	opts.SegmentEvery = *segmentEvery
@@ -190,10 +185,6 @@ func main() {
 	}
 
 	srv = newServer(sys, *huntTimeout)
-	if sh := sys.ShardStore(); sh != nil {
-		srv.registerShardMetrics(sh)
-		log.Printf("store sharded %d ways by %s", *shards, *partitionBy)
-	}
 	srv.observeRecovery(sys.RecoveryStats())
 	handler.Store(srv.routes())
 
@@ -351,58 +342,6 @@ func newServer(sys system, huntTimeout time.Duration) *server {
 			return float64(st.Snapshot().NextEventID - 1)
 		})
 	return s
-}
-
-// registerShardMetrics adds the sharded-store families (only when the
-// store is partitioned): per-partition size and snapshot age, the hunt
-// scatter fan-out distribution, and the coordinator's global-routing and
-// rollback counters.
-func (s *server) registerShardMetrics(sh *shard.Store) {
-	s.reg.NewLabeledGaugeFunc("threatraptor_shard_events",
-		"Events held per store partition.",
-		func() []metrics.LabeledValue {
-			ms := sh.Metrics()
-			out := make([]metrics.LabeledValue, len(ms))
-			for i, m := range ms {
-				out[i] = metrics.LabeledValue{
-					Labels: fmt.Sprintf(`shard="%d"`, m.Shard),
-					Value:  float64(m.Events),
-				}
-			}
-			return out
-		})
-	s.reg.NewLabeledGaugeFunc("threatraptor_shard_snapshot_age_seconds",
-		"Seconds since each partition last published a snapshot.",
-		func() []metrics.LabeledValue {
-			ms := sh.Metrics()
-			out := make([]metrics.LabeledValue, len(ms))
-			for i, m := range ms {
-				out[i] = metrics.LabeledValue{
-					Labels: fmt.Sprintf(`shard="%d"`, m.Shard),
-					Value:  m.SnapshotAge.Seconds(),
-				}
-			}
-			return out
-		})
-	s.reg.NewLabeledGaugeFunc("threatraptor_hunt_fanout_total",
-		"Scattered pattern data queries by how many partitions they touched (after routing prunes).",
-		func() []metrics.LabeledValue {
-			fan := sh.FanoutHistogram()
-			out := make([]metrics.LabeledValue, 0, len(fan))
-			for k, n := range fan {
-				out = append(out, metrics.LabeledValue{
-					Labels: fmt.Sprintf(`shards="%d"`, k),
-					Value:  float64(n),
-				})
-			}
-			return out
-		})
-	s.reg.NewGaugeFunc("threatraptor_shard_global_routed_total",
-		"Pattern queries served by the global store instead of the partitions (var-len paths).",
-		func() float64 { return float64(sh.GlobalRouted()) })
-	s.reg.NewGaugeFunc("threatraptor_shard_rollbacks_total",
-		"Fleet-wide append unwinds after a partition append failure.",
-		func() float64 { return float64(sh.Rollbacks()) })
 }
 
 func (s *server) routes() http.Handler {

@@ -461,66 +461,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestShardedDaemonMetrics runs the daemon over a sharded store: ingest
-// and hunts work unchanged through the backend abstraction, and /metrics
-// exposes the per-shard families registered for the coordinator.
-func TestShardedDaemonMetrics(t *testing.T) {
-	opts := threatraptor.DefaultOptions()
-	opts.Shards = 4
-	opts.PartitionBy = "hash"
-	sys := threatraptor.New(opts)
-	if _, err := sys.Live(); err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(sys, 0)
-	sh := sys.ShardStore()
-	if sh == nil {
-		t.Fatal("Options.Shards = 4 did not build a sharded store")
-	}
-	srv.registerShardMetrics(sh)
-	ts := httptest.NewServer(srv.routes())
-	t.Cleanup(ts.Close)
-
-	lines := readLine(1_000_000, 100, "/bin/cat", "/etc/secret") +
-		readLine(2_000_000, 101, "/usr/bin/scp", "/etc/secret")
-	if code, body := post(t, ts.URL+"/v1/ingest", lines); code != 200 {
-		t.Fatalf("ingest = %d %q", code, body)
-	}
-	if code, body := post(t, ts.URL+"/v1/flush", ""); code != 200 {
-		t.Fatalf("flush = %d %q", code, body)
-	}
-	code, body := post(t, ts.URL+"/v1/hunt", `proc p read file f return p, f`)
-	if code != 200 {
-		t.Fatalf("hunt = %d %q", code, body)
-	}
-	var hr huntResponse
-	if err := json.Unmarshal([]byte(body), &hr); err != nil {
-		t.Fatalf("hunt response not JSON: %v\n%s", err, body)
-	}
-	if len(hr.Rows) != 2 {
-		t.Fatalf("hunt rows = %v, want 2 rows", hr.Rows)
-	}
-
-	code, body = get(t, ts.URL+"/metrics")
-	if code != 200 {
-		t.Fatalf("metrics = %d", code)
-	}
-	for _, want := range []string{
-		"# TYPE threatraptor_shard_events gauge",
-		`threatraptor_shard_events{shard="0"}`,
-		`threatraptor_shard_events{shard="3"}`,
-		`threatraptor_shard_snapshot_age_seconds{shard="0"}`,
-		`threatraptor_hunt_fanout_total{shards="`,
-		"threatraptor_shard_global_routed_total 0",
-		"threatraptor_shard_rollbacks_total 0",
-		"threatraptor_store_events 2",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, body)
-		}
-	}
-}
-
 // TestIngestBodyTooLargeMaps413: an oversized /v1/ingest body is cut off
 // at the cap and reported as 413 instead of being slurped unbounded; the
 // daemon keeps serving and a smaller retry succeeds.

@@ -186,8 +186,7 @@ func vpnFilter() *Case {
 // key, pivots to host-b over an SSH session, and exfiltrates a database
 // from host-b. The two halves of the pivot meet at a single NetConn
 // entity (the 5-tuple is host-agnostic), which is what lets a fleet-wide
-// hunt join the connect on host-a with the receive on host-b even when
-// the store is sharded by host.
+// hunt join the connect on host-a with the receive on host-b.
 func lateralMovement() *Case {
 	const report = `The attacker first compromised workstation host-a and used /bin/bash to read the administrator SSH private key /home/admin/.ssh/id_rsa. Using the stolen key, the attacker launched /usr/bin/ssh to connect to the database server 10.0.0.12. On the server, /usr/sbin/sshd accepted the session and started an interactive /bin/bash shell for the attacker. The shell read /etc/passwd to enumerate accounts. Finally, the attacker used /usr/bin/scp to read the payroll database /var/db/payroll.db and connect to the external drop host 203.0.113.50, leaking the database contents.`
 

@@ -172,7 +172,7 @@ func ExampleByID() {
 
 // ExampleCase_Simulate shows the multi-host extra case: the pivot's
 // connect and receive happen on different hosts but share one NetConn
-// 5-tuple, which is the edge a fleet-wide (sharded) hunt joins across.
+// 5-tuple, which is the edge a fleet-wide hunt joins across.
 func ExampleCase_Simulate() {
 	c := ByID("lateral_movement")
 	records, start, end := c.Simulate(0) // 0 = default scale

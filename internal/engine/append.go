@@ -14,56 +14,8 @@ import (
 
 	"threatraptor/internal/audit"
 	"threatraptor/internal/faultinject"
-	"threatraptor/internal/graphdb"
 	"threatraptor/internal/relational"
 )
-
-// StoreMark captures a store's append frontier: everything AppendBatch
-// can move. A multi-store coordinator (internal/shard) marks every
-// partition before a fanned-out append; when one partition's append
-// fails, the partitions that already committed unwind with Rollback so
-// the fleet stays a consistent prefix — the per-store analogue of
-// AppendBatch's own internal rollback.
-type StoreMark struct {
-	entLen, evLen int
-	gMark         graphdb.Mark
-	logLen        int
-	nextID        int64
-	opLen         int
-	minT, maxT    int64
-	epoch         uint64
-}
-
-// Mark captures the store's current append frontier. Writer-side only.
-func (s *Store) Mark() StoreMark {
-	return StoreMark{
-		entLen: s.Rel.Table("entities").Len(),
-		evLen:  s.Rel.Table("events").Len(),
-		gMark:  s.Graph.Mark(),
-		logLen: len(s.Log.Events),
-		nextID: s.nextEventID,
-		opLen:  len(s.opBatches),
-		minT:   s.MinTime,
-		maxT:   s.MaxTime,
-		epoch:  s.epoch,
-	}
-}
-
-// Rollback rewinds the store to a previously captured mark — table rows,
-// graph arenas, the event log tail, the ID sequence, the op-bitmap index,
-// and the time bounds/epoch — then republishes the snapshot so readers
-// see the rewound generation. Writer-side only; the mark must be from
-// this store with no intervening rollback past it.
-func (s *Store) Rollback(m StoreMark) {
-	s.opBatches = s.opBatches[:m.opLen]
-	s.Log.Events = s.Log.Events[:m.logLen]
-	s.Graph.Rollback(m.gMark)
-	s.Rel.Table("events").TruncateRows(m.evLen)
-	s.Rel.Table("entities").TruncateRows(m.entLen)
-	s.nextEventID = m.nextID
-	s.MinTime, s.MaxTime, s.epoch = m.minT, m.maxT, m.epoch
-	s.publishSnapshot()
-}
 
 // AppendBatch appends newly interned entities and sealed (immutable)
 // events to the relational backend, the graph backend, and the store's

@@ -147,13 +147,11 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 			}
 			gp.Nodes = nb[:n]
 			if sp.delta > 0 && pp.ir.Path.HasEdgeVar {
-				// The graph executor's floor is a dense edge-arena offset,
-				// which equals the event ID only when the store holds the
-				// full 1..n ID space. A shard's sub-log has gaps, so the
-				// global event-ID floor translates through the snapshot's
-				// ID-ordered event slice (identity for dense stores).
+				// Edges are appended one per event in ID order and event
+				// IDs are the store's dense 1..n sequence, so the event-ID
+				// floor is the graph executor's edge-arena floor.
 				gp.EdgeVar = "e"
-				gp.MinEdgeID = snapEdgeFloor(sp.snap, sp.delta)
+				gp.MinEdgeID = sp.delta
 			}
 			if sp.snap != nil {
 				gp.View = &sp.snap.Graph
@@ -650,13 +648,6 @@ func (en *Engine) join(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, re
 	if snap != nil {
 		attrOf = snap.EntityAttr
 	}
-	return joinRows(ctx, a, attrOf, results)
-}
-
-// joinRows is join with the attribute resolver abstracted: the sharded
-// coordinator joins merged pattern rows with its global snapshot's
-// resolver through the same code path (see JoinPatternRows).
-func joinRows(ctx context.Context, a *tbql.Analyzed, attrOf func(id int64, attr string) relational.Value, results []patternRows) (*Result, int, error) {
 	q := a.Query
 	rs := &relational.ResultSet{Columns: returnColumns(a)}
 	matched := make(map[int64]bool)

@@ -19,20 +19,16 @@ import (
 )
 
 // DumpImage flattens the store's current state into a segment image.
-// withEntities controls whether the entity table is included: the global
-// store dumps it, shard partition stores share the global image's
-// entities and dump only their routed events and adjacency. Writer-side
-// only (it reads the live arenas and re-sorts dirty adjacency).
-func DumpImage(s *Store, withEntities bool) *segment.Image {
+// Writer-side only (it reads the live arenas and re-sorts dirty
+// adjacency).
+func DumpImage(s *Store) *segment.Image {
 	img := &segment.Image{
 		NextEventID: s.nextEventID,
 		MinTime:     s.MinTime,
 		MaxTime:     s.MaxTime,
 	}
-	if withEntities {
-		img.Entities = s.Log.Entities.Dense()
-		img.EntityCols = segment.BuildEntityCols(img.Entities)
-	}
+	img.Entities = s.Log.Entities.Dense()
+	img.EntityCols = segment.BuildEntityCols(img.Entities)
 	evs := s.Log.Events
 	n := len(evs)
 	slab := make([]int64, 7*n)
@@ -53,13 +49,11 @@ func DumpImage(s *Store, withEntities bool) *segment.Image {
 	return img
 }
 
-// OpenStore rebuilds a store from a decoded segment image. cols and
-// dense are the entity columns and the dense entity slab — the image's
-// own for a global store, the global image's for a shard partition
-// (partition images carry no entities but their graphs hold every
-// entity as a node). table becomes the store's entity table and may be
-// shared across sibling partition stores.
-func OpenStore(img *segment.Image, cols *segment.EntityCols, dense []*audit.Entity, table *audit.EntityTable) (*Store, error) {
+// OpenStore rebuilds a store from a decoded segment image: its entity
+// columns, its dense entity slab (which becomes the store's entity
+// table), its event columns and its adjacency.
+func OpenStore(img *segment.Image) (*Store, error) {
+	cols, dense := img.EntityCols, img.Entities
 	nEnt := len(dense)
 	if cols == nil || len(cols.Kind) != nEnt {
 		return nil, fmt.Errorf("engine: open: entity columns cover %d entities, slab has %d", colsLen(cols), nEnt)
@@ -67,7 +61,7 @@ func OpenStore(img *segment.Image, cols *segment.EntityCols, dense []*audit.Enti
 	if img.Nodes != nEnt {
 		return nil, fmt.Errorf("engine: open: image has %d graph nodes for %d entities", img.Nodes, nEnt)
 	}
-	s := &Store{Rel: relational.NewDB(), Graph: graphdb.NewGraph(), Log: &audit.Log{Entities: table}}
+	s := &Store{Rel: relational.NewDB(), Graph: graphdb.NewGraph(), Log: &audit.Log{Entities: audit.RestoreTable(dense)}}
 	entTbl, evTbl, err := newStoreTables(s.Rel)
 	if err != nil {
 		return nil, err
@@ -122,9 +116,9 @@ func colsLen(c *segment.EntityCols) int {
 // relational entities table. NULL bitmaps are derived from the kind
 // column — entityRow fills a fixed attribute set per kind, so nullness
 // is a function of the kind alone. The string/int vectors are adopted
-// (shared with sibling stores is safe: adopted slices have cap == len,
-// so the first append relocates), the bitmaps are freshly allocated per
-// column because appends mutate them in place.
+// (adopted slices have cap == len, so the first append relocates), the
+// bitmaps are freshly allocated per column because appends mutate them
+// in place.
 func restoreEntityTable(t *relational.Table, cols *segment.EntityCols, n int) error {
 	words := (n + 63) / 64
 	isFile := make([]uint64, words)

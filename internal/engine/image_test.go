@@ -15,13 +15,12 @@ import (
 // filesystem.
 func roundTripStore(t testing.TB, s *Store) *Store {
 	t.Helper()
-	img := DumpImage(s, true)
+	img := DumpImage(s)
 	got, err := segment.DecodeSegment(segment.Encode(img))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	table := audit.RestoreTable(got.Entities)
-	s2, err := OpenStore(got, got.EntityCols, got.Entities, table)
+	s2, err := OpenStore(got)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -143,7 +142,7 @@ func BenchmarkStoreOpenSegment(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := segment.Encode(DumpImage(s, true))
+	data := segment.Encode(DumpImage(s))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -151,8 +150,7 @@ func BenchmarkStoreOpenSegment(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		table := audit.RestoreTable(img.Entities)
-		if _, err := OpenStore(img, img.EntityCols, img.Entities, table); err != nil {
+		if _, err := OpenStore(img); err != nil {
 			b.Fatal(err)
 		}
 	}

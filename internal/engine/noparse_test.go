@@ -11,8 +11,9 @@ import (
 // TestExecutePathsInvokeNoParser pins the logical-plan IR refactor's core
 // invariant: no relational or graph query parser runs on any Execute*
 // path. Every pattern lowers to a backend plan AST; binding sets and delta
-// floors bind as parameters. The text generators exist only behind
-// EXPLAIN.
+// floors bind as parameters. EXPLAIN prints those executed ASTs
+// (relational.Format, graphdb.Format); nothing generates query text to
+// parse back.
 func TestExecutePathsInvokeNoParser(t *testing.T) {
 	store, _ := dataLeakStore(t, 200)
 	a := analyzed(t, dataLeakTBQL)

@@ -229,9 +229,8 @@ func NewStore(log *audit.Log) (*Store, error) {
 			return nil, err
 		}
 	}
-	// Loaded logs usually carry the dense 1..n ID space, but a sharded
-	// store's partitions load ID-ordered sub-logs with gaps; the next ID
-	// and the op-bitmap batch anchor follow the actual IDs, not the count.
+	// The next ID and the op-bitmap batch anchor follow the loaded log's
+	// (ID-ordered) event IDs.
 	s.nextEventID = 1
 	if n := len(log.Events); n > 0 {
 		s.nextEventID = log.Events[n-1].ID + 1

@@ -104,24 +104,16 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// LabeledValue is one sample of a labeled gauge: Labels is the rendered
-// label set without braces (e.g. `shard="0"`), Value the sample.
-type LabeledValue struct {
-	Labels string
-	Value  float64
-}
-
 // metric is one registered, renderable metric.
 type metric struct {
 	name string
 	help string
 	typ  string // "counter", "gauge", "histogram"
 
-	counter   *Counter
-	gauge     *Gauge
-	gaugeFn   func() float64
-	labeledFn func() []LabeledValue
-	hist      *Histogram
+	counter *Counter
+	gauge   *Gauge
+	gaugeFn func() float64
+	hist    *Histogram
 }
 
 // Registry holds named metrics and renders them in registration order.
@@ -167,15 +159,6 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 	r.register(&metric{name: name, help: help, typ: "gauge", gaugeFn: fn})
 }
 
-// NewLabeledGaugeFunc registers a gauge that renders one sample per
-// LabeledValue returned by fn at scrape time (one HELP/TYPE header, one
-// `name{labels} value` line each). fn must be safe for concurrent use.
-// Use it for families whose cardinality is only known at runtime, like
-// per-shard stats.
-func (r *Registry) NewLabeledGaugeFunc(name, help string, fn func() []LabeledValue) {
-	r.register(&metric{name: name, help: help, typ: "gauge", labeledFn: fn})
-}
-
 // NewHistogram registers and returns a histogram with the given upper
 // bounds (nil: DefBuckets).
 func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
@@ -201,10 +184,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s %d\n", m.name, m.gauge.Value())
 		case m.gaugeFn != nil:
 			fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(m.gaugeFn()))
-		case m.labeledFn != nil:
-			for _, lv := range m.labeledFn() {
-				fmt.Fprintf(&b, "%s{%s} %s\n", m.name, lv.Labels, formatFloat(lv.Value))
-			}
 		case m.hist != nil:
 			var cum uint64
 			for i, bound := range m.hist.bounds {

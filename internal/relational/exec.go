@@ -287,12 +287,17 @@ func (p *plan) walk(st *execState, sink *rowSink, lvl int, lo, hi int32) error {
 	}
 	tbl := st.tabs[lvl]
 	if ia := p.effAccess(&st.params, lvl); ia != nil {
+		// One scan floor per level walk serves every probe key below.
+		var floor int32
+		if len(p.floors[lvl]) > 0 {
+			floor = p.scanStart(&st.params, lvl)
+		}
 		if ia.keyList != nil {
 			for _, key := range ia.keyList {
 				if err := st.checkCancel(); err != nil {
 					return err
 				}
-				if err := p.probe(st, sink, lvl, tbl, ia, key); err != nil {
+				if err := p.probe(st, sink, lvl, tbl, ia, key, floor); err != nil {
 					return err
 				}
 			}
@@ -303,7 +308,7 @@ func (p *plan) walk(st *execState, sink *rowSink, lvl int, lo, hi int32) error {
 				if err := st.checkCancel(); err != nil {
 					return err
 				}
-				if err := p.probe(st, sink, lvl, tbl, ia, Int(id)); err != nil {
+				if err := p.probe(st, sink, lvl, tbl, ia, Int(id), floor); err != nil {
 					return err
 				}
 			}
@@ -313,7 +318,7 @@ func (p *plan) walk(st *execState, sink *rowSink, lvl int, lo, hi int32) error {
 		if err != nil {
 			return err
 		}
-		return p.probe(st, sink, lvl, tbl, ia, key)
+		return p.probe(st, sink, lvl, tbl, ia, key, floor)
 	}
 	if hj := p.hashJoins[lvl]; hj != nil {
 		used, err := p.hashJoinLevel(st, sink, lvl, hj)
@@ -349,13 +354,18 @@ func (p *plan) walk(st *execState, sink *rowSink, lvl int, lo, hi int32) error {
 }
 
 // probe runs one hash-index lookup and feeds the resulting positions
-// through the level's filters.
-func (p *plan) probe(st *execState, sink *rowSink, lvl int, tbl *Table, ia *indexAccess, key Value) error {
+// through the level's filters. Posting lists are in row order, so a
+// positive scan floor (the level's scanStart) drops every position below
+// it by binary search; the floor conjunct still runs as a filter.
+func (p *plan) probe(st *execState, sink *rowSink, lvl int, tbl *Table, ia *indexAccess, key Value, floor int32) error {
 	pos, ok := tbl.lookup(ia.col, key)
 	if !ok {
 		return nil
 	}
 	st.stats.IndexLookups++
+	if floor > 0 {
+		pos = pos[lowerBoundInt32(pos, floor):]
+	}
 	st.stats.RowsScanned += len(pos)
 	return p.feedPositions(st, sink, lvl, pos)
 }

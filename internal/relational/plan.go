@@ -94,11 +94,13 @@ func pruneGate(e Expr) func(st *execState) bool {
 }
 
 // scanFloor is one "col >= bound" (or "col > bound") conjunct over an int
-// column, usable to narrow the level's full scan: when the column's values
-// are ascending at execution time (dense event IDs, in-order timestamps),
-// rows before the binary-searched first in-range position cannot satisfy
-// the conjunct and are skipped wholesale. This is what makes delta-floored
-// standing-query scans cost O(delta), not O(store). Purely a scan
+// column, usable to narrow the level's full scan and its index probes:
+// when the column's values are ascending at execution time (dense event
+// IDs, in-order timestamps), rows before the binary-searched first
+// in-range position cannot satisfy the conjunct and are skipped wholesale,
+// and so are the probe postings below it (postings are in row order).
+// This is what makes delta-floored standing-query scans cost O(delta), not
+// O(store), and trailing-window probes cost O(window). Purely a
 // narrowing — the conjunct still runs as a filter, so an unsorted column
 // just loses the shortcut, never correctness.
 type scanFloor struct {

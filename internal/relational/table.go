@@ -663,20 +663,26 @@ func (ix *hashIndex) lookupBounded(v Value, rows int32) []int32 {
 	} else {
 		pos = ix.strs[v.S]
 	}
-	// Binary-search the first position >= rows; everything before it was
-	// present at capture time.
-	lo, hi := 0, len(pos)
+	// Everything before the first position >= rows was present at capture
+	// time.
+	pos = pos[:lowerBoundInt32(pos, rows)]
+	ix.mu.RUnlock()
+	return pos
+}
+
+// lowerBoundInt32 returns the index of the first element >= k in an
+// ascending []int32 (a posting list, which is in row order).
+func lowerBoundInt32(a []int32, k int32) int {
+	lo, hi := 0, len(a)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if pos[mid] < rows {
+		if a[mid] < k {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	pos = pos[:lo]
-	ix.mu.RUnlock()
-	return pos
+	return lo
 }
 
 // Len returns the row count.

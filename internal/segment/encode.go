@@ -98,8 +98,7 @@ func endSection(b []byte, payloadStart int) []byte {
 
 // Encode serializes an image into the segment file format. If
 // img.EntityCols is nil and img.Entities is non-nil the columns are
-// built first; a partition image (both nil) encodes an empty entities
-// section.
+// built first; an image with neither encodes an empty entities section.
 func Encode(img *Image) []byte {
 	cols := img.EntityCols
 	if cols == nil && img.Entities != nil {

@@ -1,8 +1,8 @@
 package segment
 
 // The manifest is the single commit point of the durable store: a
-// CRC-framed JSON document naming the live segment set, the sharding
-// topology it was dumped under, and the WAL replay floor. It is always
+// CRC-framed JSON document naming the live segment set and the WAL
+// replay floor. It is always
 // replaced atomically (tmp + fsync + rename + directory fsync), so a
 // crash anywhere in a segment flush leaves either the old manifest or
 // the new one — never a mix — and stale segment files from an aborted
@@ -41,9 +41,6 @@ type Manifest struct {
 	// segments; WAL frames at or below it are skipped on replay and
 	// eligible for garbage collection.
 	WALFloor uint64 `json:"wal_floor_seq"`
-	// Shards/Partitioner record the sharding topology (0/"" unsharded).
-	Shards      int    `json:"shards,omitempty"`
-	Partitioner string `json:"partitioner,omitempty"`
 	// Segments is the live segment set.
 	Segments []SegmentRef `json:"segments"`
 }

@@ -84,20 +84,15 @@ type Image struct {
 	// MinTime/MaxTime are the store's event-time bounds (µs).
 	MinTime int64
 	MaxTime int64
-	// Nodes is the graph node count the adjacency arrays cover. For a
-	// partition image this exceeds len(Entities): partitions hold every
-	// entity but only their routed events.
+	// Nodes is the graph node count the adjacency arrays cover.
 	Nodes int
 	// Entities is the dense entity slice (ID i at offset i-1), rebuilt
-	// from EntityCols on decode. Nil for partition images, which share
-	// the global image's entities.
+	// from EntityCols on decode.
 	Entities []*audit.Entity
 	// EntityCols are the decoded entity columns, kept so the relational
-	// restore can adopt them without re-extracting from Entities. Nil for
-	// partition images.
+	// restore can adopt them without re-extracting from Entities.
 	EntityCols *EntityCols
-	// Events are the event columns in ID order (a partition image holds
-	// only its routed events, with gaps in the global ID sequence).
+	// Events are the event columns in ID order.
 	Events EventCols
 	// Adj is the graph adjacency in CSR form, per-node lists
 	// time-sorted.
@@ -127,29 +122,11 @@ type AdjCSR struct {
 	OutCounts, Out, InCounts, In []int32
 }
 
-// RoleGlobal is the segment role of the full (unsharded-equivalent)
-// store; shard partitions use PartitionRole.
+// RoleGlobal is the segment role of the store image. Data directories
+// written by the removed sharded mode also list per-partition roles
+// ("p0", "p1", ...); recovery reads only the global image, which holds
+// every event and entity.
 const RoleGlobal = "global"
-
-// PartitionRole names shard partition i's segment role ("p0", "p1", ...).
-func PartitionRole(i int) string { return fmt.Sprintf("p%d", i) }
-
-// RoleImage pairs a segment role with its image: role "global" is the
-// full store, "p0".."pN-1" are shard partitions.
-type RoleImage struct {
-	Role  string
-	Image *Image
-}
-
-// Topology records how a persisted store was sharded, so recovery can
-// rebuild the same layout and refuse a mismatched configuration.
-type Topology struct {
-	// Shards is the partition count (0 for an unsharded store).
-	Shards int
-	// PartitionBy is the partitioner name ("hash", "host", ...); empty
-	// for an unsharded store.
-	PartitionBy string
-}
 
 // BuildEntityCols columnarizes a dense entity slice for encoding.
 func BuildEntityCols(dense []*audit.Entity) *EntityCols {

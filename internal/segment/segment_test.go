@@ -200,7 +200,7 @@ func TestManifestRoundTripAndCorruption(t *testing.T) {
 	if Exists(dir) {
 		t.Fatal("Exists on empty dir")
 	}
-	m := &Manifest{Seq: 3, WALFloor: 17, Shards: 2, Partitioner: "hash",
+	m := &Manifest{Seq: 3, WALFloor: 17,
 		Segments: []SegmentRef{{Role: "global", File: SegmentFileName(3, "global")}}}
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestManifestRoundTripAndCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != 3 || got.WALFloor != 17 || got.Shards != 2 || got.Partitioner != "hash" ||
+	if got.Seq != 3 || got.WALFloor != 17 ||
 		len(got.Segments) != 1 || got.Segments[0].File != "seg-00000003-global.seg" {
 		t.Fatalf("manifest = %+v", got)
 	}

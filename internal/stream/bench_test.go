@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"threatraptor/internal/audit"
-	"threatraptor/internal/shard"
 	"threatraptor/internal/tactical"
 )
 
@@ -159,10 +158,7 @@ func BenchmarkTacticalRound(b *testing.B) {
 // but with the pre-loaded history scaled 1×→8×. Near-flat ns/op across
 // the sub-benchmarks is direct evidence that a delta round's cost depends
 // on the batch, not the store (the pre-view design re-ran every pattern's
-// data query per round, so its rounds grew linearly with history). The
-// 8x-shardsN legs run the identical rounds against a sharded backend so
-// the per-round cost of scatter coordination is visible next to the
-// single-store number.
+// data query per round, so its rounds grew linearly with history).
 func BenchmarkStandingQueryScale(b *testing.B) {
 	run := func(b *testing.B, mult int, sess *Session) {
 		recs := dataLeakRecords(b, 0.25)
@@ -196,15 +192,6 @@ func BenchmarkStandingQueryScale(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx", mult), func(b *testing.B) {
 			sess, _ := emptySession(b, Config{MatchBuffer: 16})
 			run(b, mult, sess)
-		})
-	}
-	for _, n := range []int{2, 4} {
-		b.Run(fmt.Sprintf("8x-shards%d", n), func(b *testing.B) {
-			sh, err := shard.New(audit.NewLog(), n, shard.ByHash())
-			if err != nil {
-				b.Fatal(err)
-			}
-			run(b, 8, NewWithBackend(sh, Config{MatchBuffer: 16}))
 		})
 	}
 }

@@ -4,7 +4,7 @@ package stream
 // wired into the live ingestion path.
 //
 // Write path: every sealed batch is framed into the WAL *before* it is
-// applied to the in-memory backend, under the same write lock, with the
+// applied to the in-memory store, under the same write lock, with the
 // same replay-on-failure contract appends already have — a WAL error
 // stashes the sealed events exactly like a failed append, and the retry
 // rewrites the frame under the same commit sequence (replay keeps the
@@ -12,22 +12,23 @@ package stream
 // sequence advances only after the in-memory apply succeeds.
 //
 // Flush path: every SegmentEvery sealed batches (and on clean Close) the
-// backend dumps one columnar image per role (the single store, or the
-// global store plus every shard partition), each image is written as an
-// independently checksummed segment file, and one manifest commit names
-// the new live set and the WAL replay floor. The manifest rename is the
-// only commit point: a crash or error anywhere before it leaves the old
-// generation fully intact — for a sharded store that means a partial
-// flush (three of four partitions written) rolls back fleet-wide, since
-// the orphaned files are never referenced and are swept later. Flush
-// errors never fail ingestion; they surface through OnSegmentFlush and
-// the WAL simply keeps growing until a flush succeeds.
+// store is dumped as one columnar image, written as a checksummed segment
+// file, and one manifest commit names it and the WAL replay floor. The
+// manifest rename is the only commit point: a crash or error anywhere
+// before it leaves the old generation fully intact, and an orphaned
+// segment file is never referenced and is swept later. Flush errors never
+// fail ingestion; they surface through OnSegmentFlush and the WAL simply
+// keeps growing until a flush succeeds.
 //
-// Recovery (OpenDurable): read the manifest, validate and decode every
-// segment, rebuild the stores by direct arena restoration, then replay
-// the WAL tail above the floor. A torn tail is truncated silently (the
-// expected shape of a crash mid-append); mid-file corruption refuses
+// Recovery (OpenDurable): read the manifest, validate and decode the
+// global segment, rebuild the store by direct arena restoration, then
+// replay the WAL tail above the floor. A torn tail is truncated silently
+// (the expected shape of a crash mid-append); mid-file corruption refuses
 // startup unless RecoverCorrupt degrades to the last consistent prefix.
+// A data directory written by the removed sharded mode also lists
+// per-partition segments; they are skipped (the global image already
+// holds every event and entity), never written again, and swept with the
+// old generation by the next flush.
 
 import (
 	"fmt"
@@ -36,6 +37,7 @@ import (
 	"time"
 
 	"threatraptor/internal/audit"
+	"threatraptor/internal/engine"
 	"threatraptor/internal/segment"
 )
 
@@ -81,7 +83,8 @@ func (d Durability) withDefaults() (Durability, error) {
 type FlushStats struct {
 	// ManifestSeq is the committed flush generation (0 when Err is set).
 	ManifestSeq int64
-	// Segments is how many segment files the generation holds.
+	// Segments is how many segment files the generation holds (1 on
+	// success).
 	Segments int
 	// Bytes is the total encoded size of the generation.
 	Bytes int64
@@ -98,7 +101,8 @@ type RecoveryStats struct {
 	Recovered bool
 	// ManifestSeq is the recovered flush generation.
 	ManifestSeq int64
-	// Segments is how many segment files were validated and restored.
+	// Segments is how many segment files were validated and restored
+	// (1 when Recovered).
 	Segments int
 	// WALFloor is the manifest's replay floor (frames at or below it were
 	// skipped).
@@ -116,26 +120,11 @@ type RecoveryStats struct {
 	DroppedFrames int
 }
 
-// DurableBackend is the backend surface a durable session additionally
-// needs: dumping the full fleet state as role-tagged segment images, and
-// naming the sharding topology the manifest records. Both the single
-// engine backend and the sharded coordinator implement it.
-type DurableBackend interface {
-	Backend
-	// DumpImages flattens every store of the fleet: role "global" first,
-	// then "p0".."pN-1" for a sharded backend. Called under the session
-	// write lock.
-	DumpImages() []segment.RoleImage
-	// Topology names the sharding layout for the manifest.
-	Topology() segment.Topology
-}
-
 // durable is a session's durability state. All fields are guarded by the
 // session write lock.
 type durable struct {
 	cfg         Durability
 	wal         *segment.WAL
-	backend     DurableBackend
 	seq         uint64 // last batch sequence applied in memory
 	manifestSeq int64  // last committed flush generation
 	sinceFlush  int    // sealed batches since the last committed flush
@@ -161,7 +150,7 @@ func (d *durable) logBatch(entities []*audit.Entity, events []audit.Event) error
 	return nil
 }
 
-// flushSegmentsLocked dumps the backend as one segment generation and
+// flushSegmentsLocked dumps the store as one segment generation and
 // commits it. Errors leave the previous generation (and the whole WAL)
 // intact and are reported only through OnSegmentFlush — a failed flush
 // must not fail ingestion.
@@ -188,27 +177,17 @@ func (s *Session) flushSegmentsLocked() error {
 		}
 	}
 	gen := d.manifestSeq + 1
-	imgs := d.backend.DumpImages()
-	refs := make([]segment.SegmentRef, 0, len(imgs))
-	var bytes int64
-	for _, ri := range imgs {
-		name := segment.SegmentFileName(gen, ri.Role)
-		n, err := segment.WriteSegment(d.cfg.Dir, name, ri.Image)
-		if err != nil {
-			// Files already written this generation are unreferenced
-			// garbage; the next successful flush sweeps them.
-			return report(FlushStats{Err: err})
-		}
-		bytes += n
-		refs = append(refs, segment.SegmentRef{Role: ri.Role, File: name})
+	name := segment.SegmentFileName(gen, segment.RoleGlobal)
+	bytes, err := segment.WriteSegment(d.cfg.Dir, name, engine.DumpImage(s.store))
+	if err != nil {
+		// A partly written file is unreferenced garbage; the next
+		// successful flush sweeps it.
+		return report(FlushStats{Err: err})
 	}
-	topo := d.backend.Topology()
 	m := &segment.Manifest{
-		Seq:         gen,
-		WALFloor:    d.seq,
-		Shards:      topo.Shards,
-		Partitioner: topo.PartitionBy,
-		Segments:    refs,
+		Seq:      gen,
+		WALFloor: d.seq,
+		Segments: []segment.SegmentRef{{Role: segment.RoleGlobal, File: name}},
 	}
 	if err := segment.WriteManifest(d.cfg.Dir, m); err != nil {
 		return report(FlushStats{Err: err})
@@ -220,30 +199,26 @@ func (s *Session) flushSegmentsLocked() error {
 	if err := d.wal.Truncate(0); err != nil {
 		// Not a consistency problem — stale frames at or below the floor
 		// are skipped on replay — but worth surfacing.
-		return report(FlushStats{ManifestSeq: gen, Segments: len(refs), Bytes: bytes, Err: err})
+		return report(FlushStats{ManifestSeq: gen, Segments: 1, Bytes: bytes, Err: err})
 	}
 	_ = segment.RemoveStale(d.cfg.Dir, m)
-	return report(FlushStats{ManifestSeq: gen, Segments: len(refs), Bytes: bytes})
+	return report(FlushStats{ManifestSeq: gen, Segments: 1, Bytes: bytes})
 }
 
 // OpenDurable opens a crash-safe session over cfg.Durability.Dir. When
-// the directory holds a committed manifest, the fleet is rebuilt from the
-// segment files via fromImages and the WAL tail above the manifest floor
-// is replayed; otherwise fresh supplies an empty (or preloaded) backend
-// and any leftover WAL from a crash before the first flush is replayed
-// onto it. Both callbacks receive ownership of nothing until OpenDurable
-// returns nil error.
+// the directory holds a committed manifest, the store is rebuilt from its
+// global segment (with a fresh engine over it) and the WAL tail above the
+// manifest floor is replayed; otherwise fresh supplies an empty (or
+// preloaded) store and its engine, and any leftover WAL from a crash
+// before the first flush is replayed onto it. The session's Store and
+// Engine return whichever pair it opened over.
 //
 // Corruption semantics: a damaged manifest or segment always refuses
 // startup (*segment.CorruptError); a torn WAL tail is truncated silently;
 // mid-file WAL corruption refuses startup unless Durability.RecoverCorrupt,
 // which degrades to the last consistent prefix and reports the loss in
 // RecoveryStats.
-func OpenDurable(
-	cfg Config,
-	fresh func() (DurableBackend, error),
-	fromImages func(imgs []segment.RoleImage, topo segment.Topology) (DurableBackend, error),
-) (*Session, RecoveryStats, error) {
+func OpenDurable(cfg Config, fresh func() (*engine.Store, *engine.Engine, error)) (*Session, RecoveryStats, error) {
 	var rs RecoveryStats
 	dcfg, err := cfg.Durability.withDefaults()
 	if err != nil {
@@ -256,7 +231,8 @@ func OpenDurable(
 		return nil, rs, err
 	}
 
-	var backend DurableBackend
+	var store *engine.Store
+	var en *engine.Engine
 	var floor uint64
 	var manifestSeq int64
 	if segment.Exists(dcfg.Dir) {
@@ -264,25 +240,15 @@ func OpenDurable(
 		if err != nil {
 			return nil, rs, err
 		}
-		imgs := make([]segment.RoleImage, 0, len(m.Segments))
-		for _, ref := range m.Segments {
-			img, err := segment.OpenSegment(filepath.Join(dcfg.Dir, ref.File))
-			if err != nil {
-				return nil, rs, err
-			}
-			imgs = append(imgs, segment.RoleImage{Role: ref.Role, Image: img})
-		}
-		backend, err = fromImages(imgs, segment.Topology{Shards: m.Shards, PartitionBy: m.Partitioner})
-		if err != nil {
+		if store, err = openGlobalSegment(dcfg.Dir, m); err != nil {
 			return nil, rs, err
 		}
+		en = &engine.Engine{Store: store}
 		rs.Recovered = true
-		rs.ManifestSeq, rs.Segments, rs.WALFloor = m.Seq, len(imgs), m.WALFloor
+		rs.ManifestSeq, rs.Segments, rs.WALFloor = m.Seq, 1, m.WALFloor
 		floor, manifestSeq = m.WALFloor, m.Seq
-	} else {
-		if backend, err = fresh(); err != nil {
-			return nil, rs, err
-		}
+	} else if store, en, err = fresh(); err != nil {
+		return nil, rs, err
 	}
 
 	// Replay the WAL tail. The records re-enter through the same
@@ -304,11 +270,11 @@ func OpenDurable(
 		rs.DroppedFrames = res.Dropped
 		for _, rec := range res.Records {
 			for _, e := range rec.Entities {
-				if err := backend.EntityTable().AdoptNew(e); err != nil {
+				if err := store.Log.Entities.AdoptNew(e); err != nil {
 					return nil, rs, fmt.Errorf("stream: wal replay seq %d: %w", rec.Seq, err)
 				}
 			}
-			if err := backend.AppendBatch(rec.Entities, rec.Events); err != nil {
+			if err := store.AppendBatch(rec.Entities, rec.Events); err != nil {
 				return nil, rs, fmt.Errorf("stream: wal replay seq %d: %w", rec.Seq, err)
 			}
 			rs.ReplayedRecords++
@@ -329,16 +295,33 @@ func OpenDurable(
 		}
 	}
 
-	// The session proper starts only now: the backend already holds the
-	// recovered state, so NewWithBackend's entity frontier and tactical
-	// catch-up round see it exactly like a preloaded store.
-	s := NewWithBackend(backend, cfg)
+	// The session proper starts only now: the store already holds the
+	// recovered state, so New's entity frontier and tactical catch-up
+	// round see it exactly like a preloaded store.
+	s := New(store, en, cfg)
 	s.dur = &durable{
 		cfg:         dcfg,
 		wal:         wal,
-		backend:     backend,
 		seq:         seq,
 		manifestSeq: manifestSeq,
 	}
 	return s, rs, nil
+}
+
+// openGlobalSegment validates, decodes and restores the manifest's global
+// segment. Other roles (the partitions of a data directory written by the
+// removed sharded mode) are not read.
+func openGlobalSegment(dir string, m *segment.Manifest) (*engine.Store, error) {
+	for _, ref := range m.Segments {
+		if ref.Role != segment.RoleGlobal {
+			continue
+		}
+		img, err := segment.OpenSegment(filepath.Join(dir, ref.File))
+		if err != nil {
+			return nil, err
+		}
+		return engine.OpenStore(img)
+	}
+	return nil, &segment.CorruptError{File: filepath.Join(dir, segment.ManifestFileName),
+		Reason: fmt.Sprintf("manifest names no %q segment", segment.RoleGlobal)}
 }

@@ -1,8 +1,9 @@
 package stream
 
 // Crash-safety tests for the durable session: clean-restart round trips,
-// randomized fault-injected crash/recovery equivalence (single store and
-// sharded), torn-tail truncation, and mid-file corruption semantics.
+// randomized fault-injected crash/recovery equivalence, recovery of data
+// directories written by the removed sharded mode, torn-tail truncation,
+// and mid-file corruption semantics.
 //
 // The chaos harness models a crash as a ModePanic fault at one of the
 // durability fault points: the panic unwinds out of the ingest call, the
@@ -15,8 +16,11 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -30,7 +34,6 @@ import (
 	"threatraptor/internal/engine"
 	"threatraptor/internal/faultinject"
 	"threatraptor/internal/segment"
-	"threatraptor/internal/shard"
 	"threatraptor/internal/tactical"
 )
 
@@ -80,47 +83,17 @@ func durableConfig(t testing.TB, dir string) Config {
 	return cfg
 }
 
-// openSingle opens a durable session over the classic single store.
+// openSingle opens a durable session, starting from an empty store when
+// the directory holds no committed manifest.
 func openSingle(t testing.TB, cfg Config) (*Session, RecoveryStats, error) {
 	t.Helper()
-	return OpenDurable(cfg,
-		func() (DurableBackend, error) {
-			store, err := engine.NewStore(audit.NewLog())
-			if err != nil {
-				return nil, err
-			}
-			return NewBackend(store, &engine.Engine{Store: store}), nil
-		},
-		func(imgs []segment.RoleImage, topo segment.Topology) (DurableBackend, error) {
-			if topo.Shards != 0 {
-				return nil, fmt.Errorf("unexpected sharded topology %+v", topo)
-			}
-			gimg := imgs[0].Image
-			store, err := engine.OpenStore(gimg, gimg.EntityCols, gimg.Entities, audit.RestoreTable(gimg.Entities))
-			if err != nil {
-				return nil, err
-			}
-			return NewBackend(store, &engine.Engine{Store: store}), nil
-		})
-}
-
-// openSharded opens a durable session over an n-way sharded store.
-func openSharded(t testing.TB, cfg Config, n int) (*Session, RecoveryStats, error) {
-	t.Helper()
-	return OpenDurable(cfg,
-		func() (DurableBackend, error) {
-			return shard.New(audit.NewLog(), n, shard.ByHash())
-		},
-		func(imgs []segment.RoleImage, topo segment.Topology) (DurableBackend, error) {
-			if topo.Shards != n {
-				return nil, fmt.Errorf("recovered topology %+v, want %d shards", topo, n)
-			}
-			part, err := shard.ParsePartitioner(topo.PartitionBy)
-			if err != nil {
-				return nil, err
-			}
-			return shard.OpenImages(imgs, topo.Shards, part)
-		})
+	return OpenDurable(cfg, func() (*engine.Store, *engine.Engine, error) {
+		store, err := engine.NewStore(audit.NewLog())
+		if err != nil {
+			return nil, nil, err
+		}
+		return store, &engine.Engine{Store: store}, nil
+	})
 }
 
 // oracleSession builds the never-crashed reference: a non-durable session
@@ -258,8 +231,7 @@ var crashPoints = []string{
 // chaosRun drives one full crash/recovery schedule: feed records one at a
 // time, crash at randomized fault points (ModePanic), recover from the
 // directory, resume from the recovered event count, and finally compare
-// against the never-crashed oracle. open is the session factory, so the
-// same harness runs the single and sharded backends.
+// against the never-crashed oracle. open is the session factory.
 func chaosRun(t *testing.T, seed int64, open func(testing.TB, Config) (*Session, RecoveryStats, error)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -347,30 +319,17 @@ func TestDurableChaosRestartEquivalence(t *testing.T) {
 	}
 }
 
-func TestDurableChaosShardedEquivalence(t *testing.T) {
-	defer faultinject.Disarm()
-	for _, n := range []int{2, 4} {
-		n := n
-		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
-			chaosRun(t, int64(100+n), func(tb testing.TB, cfg Config) (*Session, RecoveryStats, error) {
-				return openSharded(tb, cfg, n)
-			})
-		})
-	}
-}
-
-// TestDurableShardedPartialFlushRollsBack pins fleet-wide flush
-// atomicity: a partition segment write that fails mid-generation must
-// leave the previous manifest live, and recovery must restore the
-// previous generation plus the full WAL tail — nothing from the aborted
-// generation.
-func TestDurableShardedPartialFlushRollsBack(t *testing.T) {
+// TestDurableFailedFlushRollsBack pins flush atomicity: a segment write
+// that fails mid-generation must leave the previous manifest live, and
+// recovery must restore the previous generation plus the full WAL tail —
+// nothing from the aborted generation.
+func TestDurableFailedFlushRollsBack(t *testing.T) {
 	defer faultinject.Disarm()
 	dir := t.TempDir()
 	cfg := durableConfig(t, dir)
 	recs := chaosRecords(8)
 
-	sess, _, err := openSharded(t, cfg, 2)
+	sess, _, err := openSingle(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,10 +339,9 @@ func TestDurableShardedPartialFlushRollsBack(t *testing.T) {
 			flushErrs++
 		}
 	}
-	// Each flush writes global + p0 + p1 (three segment-write hits). The
-	// first flush (after 4 batches) must succeed untouched; fail the
-	// second flush's p1 write — hit 6.
-	faultinject.Arm(faultinject.Plan{segment.FaultSegmentFlush: {Hits: []int{6}, Mode: faultinject.ModeError}})
+	// Each flush writes one segment. The first flush (after 4 batches)
+	// must succeed untouched; fail the second flush's write — hit 2.
+	faultinject.Arm(faultinject.Plan{segment.FaultSegmentFlush: {Hits: []int{2}, Mode: faultinject.ModeError}})
 	for _, r := range recs {
 		if err := feedOne(sess, r); err != nil {
 			t.Fatal(err)
@@ -391,20 +349,146 @@ func TestDurableShardedPartialFlushRollsBack(t *testing.T) {
 	}
 	faultinject.Disarm()
 	if flushErrs == 0 {
-		t.Fatal("partial-flush fault never fired")
+		t.Fatal("flush fault never fired")
 	}
 	// Abandon without Close (a Close would flush a clean generation);
 	// recovery must rebuild generation 1 plus the WAL tail = all 8
-	// records, with the aborted generation's files ignored.
-	recovered, rs, err := openSharded(t, cfg, 2)
+	// records, with the aborted generation's file ignored.
+	recovered, rs, err := openSingle(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rs.Recovered || rs.ReplayedRecords == 0 {
-		t.Fatalf("expected segment restore plus WAL replay, got %+v", rs)
+	if !rs.Recovered || rs.ManifestSeq != 1 || rs.ReplayedRecords == 0 {
+		t.Fatalf("expected generation 1 restore plus WAL replay, got %+v", rs)
 	}
 	assertRecoveredEquals(t, recovered, oracleSession(t, recs))
 	recovered.Close()
+}
+
+// writeLegacyShardedDir hand-builds the newest generation a sharded
+// store used to persist: a global image holding every event and entity,
+// one partition image per shard holding only its routed events (no
+// entity section, every entity a graph node), and a manifest carrying the
+// sharding topology fields.
+func writeLegacyShardedDir(t *testing.T, dir string, store *engine.Store, gen int64, walFloor uint64) {
+	t.Helper()
+	const shards = 2
+	refs := []segment.SegmentRef{{Role: segment.RoleGlobal, File: segment.SegmentFileName(gen, segment.RoleGlobal)}}
+	if _, err := segment.WriteSegment(dir, refs[0].File, engine.DumpImage(store)); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < shards; p++ {
+		var evs []audit.Event
+		for _, ev := range store.Log.Events {
+			if int(ev.ID)%shards == p {
+				evs = append(evs, ev)
+			}
+		}
+		part, err := engine.NewStore(&audit.Log{Entities: store.Log.Entities, Events: evs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := engine.DumpImage(part)
+		img.Entities, img.EntityCols = nil, nil
+		role := fmt.Sprintf("p%d", p)
+		ref := segment.SegmentRef{Role: role, File: segment.SegmentFileName(gen, role)}
+		if _, err := segment.WriteSegment(dir, ref.File, img); err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+	}
+	doc, err := json.Marshal(map[string]any{
+		"version": 1, "seq": gen, "wal_floor_seq": walFloor,
+		"shards": shards, "partitioner": "hash", "segments": refs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed := binary.LittleEndian.AppendUint32(nil, uint32(len(doc)))
+	framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum(doc, crc32.MakeTable(crc32.Castagnoli)))
+	framed = append(framed, doc...)
+	if err := os.WriteFile(filepath.Join(dir, segment.ManifestFileName), framed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// huntJSON is a hunt's columns, ordered rows, and matched events as JSON.
+func huntJSON(t *testing.T, sess *Session) []byte {
+	t.Helper()
+	res, _, err := sess.Hunt(nil, chaosQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal([]any{res.Set.Columns, res.Set.Strings(), res.MatchedEvents})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestDurableRecoversShardedDataDir pins the migration path for data
+// directories written by the removed sharded mode: recovery restores the
+// global image alone (it already holds every event and entity), the first
+// hunt is byte-equal to the same store built directly, and the next flush
+// writes only a global segment while the old generation's files, the
+// partition images included, are removed.
+func TestDurableRecoversShardedDataDir(t *testing.T) {
+	dir := t.TempDir()
+	recs := chaosRecords(21)
+	direct := oracleSession(t, recs[:20])
+	writeLegacyShardedDir(t, dir, direct.Store(), 3, 20)
+
+	cfg := durableConfig(t, dir)
+	cfg.Durability.SegmentEvery = 1
+	sess, rs, err := openSingle(t, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rs.Recovered || rs.ManifestSeq != 3 || rs.Segments != 1 || rs.ReplayedRecords != 0 {
+		t.Fatalf("legacy recovery stats: %+v", rs)
+	}
+	if got, want := huntJSON(t, sess), huntJSON(t, direct); !bytes.Equal(got, want) {
+		t.Fatalf("first hunt after open differs from the directly built store:\ngot  %s\nwant %s", got, want)
+	}
+	assertRecoveredEquals(t, sess, direct)
+
+	if err := feedOne(sess, recs[20]); err != nil {
+		t.Fatal(err)
+	}
+	var segs []string
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".seg") {
+			segs = append(segs, e.Name())
+		}
+	}
+	if want := []string{segment.SegmentFileName(4, segment.RoleGlobal)}; !reflect.DeepEqual(segs, want) {
+		t.Fatalf("segment files after the first flush = %v, want %v", segs, want)
+	}
+	m, err := segment.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Segments) != 1 || m.Segments[0].Role != segment.RoleGlobal {
+		t.Fatalf("manifest after the first flush = %+v", m)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, segment.ManifestFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"shards"`)) || bytes.Contains(raw, []byte(`"partitioner"`)) {
+		t.Fatalf("manifest still records a sharding topology: %s", raw[8:])
+	}
+	sess.Close()
+	reopened, _, err := openSingle(t, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRecoveredEquals(t, reopened, oracleSession(t, recs))
+	reopened.Close()
 }
 
 // writeWALPrefix builds a data dir whose WAL holds the given records with

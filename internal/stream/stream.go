@@ -1,7 +1,7 @@
 // Package stream is ThreatRaptor's streaming ingestion and continuous
 // hunting subsystem: an append-only audit stream is parsed incrementally,
 // reduced over a sliding watermark window, appended batch-by-batch into
-// the live storage backends, and evaluated against registered standing
+// the live store, and evaluated against registered standing
 // TBQL queries so hunts fire as behaviors appear — no store rebuild, no
 // batch re-run.
 //
@@ -113,8 +113,8 @@ type Config struct {
 	// session write lock; keep it cheap.
 	OnTacticalRound func(time.Duration, tactical.RoundStats)
 	// Durability configures the crash-safe storage layer (WAL + segment
-	// files, see OpenDurable). Ignored by New/NewWithBackend — only
-	// OpenDurable activates it.
+	// files, see OpenDurable). Ignored by New — only OpenDurable
+	// activates it.
 	Durability Durability
 }
 
@@ -177,8 +177,9 @@ type Session struct {
 	mu  sync.RWMutex
 	cfg Config
 
-	backend Backend
-	parser  *audit.Parser
+	store  *engine.Store
+	en     *engine.Engine
+	parser *audit.Parser
 	// parserLog shares the store's entity table but drains its events
 	// into the reducer; its event IDs are provisional.
 	parserLog *audit.Log
@@ -216,25 +217,19 @@ type Session struct {
 // be freshly empty or already loaded from a batch log; either way the
 // session appends to it in place.
 func New(store *engine.Store, en *engine.Engine, cfg Config) *Session {
-	return NewWithBackend(engineBackend{store: store, en: en}, cfg)
-}
-
-// NewWithBackend opens a live session over an arbitrary storage backend
-// (a sharded store coordinator, or the classic store+engine pair New
-// wraps). The session appends to the backend in place.
-func NewWithBackend(b Backend, cfg Config) *Session {
 	cfg = cfg.withDefaults()
 	if cfg.ViewHighWater != 0 {
-		b.SetViewHighWater(cfg.ViewHighWater)
+		en.ViewHighWater = cfg.ViewHighWater
 	}
-	parserLog := &audit.Log{Entities: b.EntityTable()}
+	parserLog := &audit.Log{Entities: store.Log.Entities}
 	s := &Session{
 		cfg:          cfg,
-		backend:      b,
+		store:        store,
+		en:           en,
 		parser:       audit.NewParserWith(parserLog),
 		parserLog:    parserLog,
 		reducer:      reduction.NewStreamer(reduction.Config{ThresholdUS: cfg.ReductionThresholdUS}, cfg.LatenessUS),
-		lastEntityID: b.EntityTable().MaxID(),
+		lastEntityID: store.Log.Entities.MaxID(),
 		subs:         make(map[int64]*Subscription),
 		incSubs:      make(map[int64]*IncidentSub),
 		readBuf:      make([]byte, 64*1024),
@@ -245,9 +240,9 @@ func NewWithBackend(b Backend, cfg Config) *Session {
 		// log, -demo) holds events no round has seen. One catch-up round
 		// over the published state tags them, so Incidents reflects the
 		// whole store rather than only live-ingested batches.
-		if src := b.TacticalSource(); src.Frontier() > 1 {
+		if snap := store.Snapshot(); snap.NextEventID > 1 {
 			t0 := time.Now()
-			rs := s.tact.RoundOn(src, 1)
+			rs := s.tact.Round(snap, 1)
 			if cfg.OnTacticalRound != nil {
 				cfg.OnTacticalRound(time.Since(t0), rs)
 			}
@@ -256,12 +251,12 @@ func NewWithBackend(b Backend, cfg Config) *Session {
 	return s
 }
 
-// Store returns the live backend's authoritative store (reads require no
-// ingest in flight). For a sharded backend this is the global store.
-func (s *Session) Store() *engine.Store { return s.backend.GlobalStore() }
+// Store returns the session's store (reads require no ingest in flight).
+func (s *Session) Store() *engine.Store { return s.store }
 
-// Backend returns the session's storage backend.
-func (s *Session) Backend() Backend { return s.backend }
+// Engine returns the engine the session executes hunts and standing
+// queries with.
+func (s *Session) Engine() *engine.Engine { return s.en }
 
 // ParseError reports malformed wire records encountered during an Ingest
 // that otherwise succeeded: the remaining lines were still parsed, the
@@ -377,7 +372,7 @@ func (s *Session) Close() error {
 		}
 	}
 	for id, sub := range s.subs {
-		s.backend.DropViews(sub.analyzed)
+		s.en.DropViews(sub.analyzed)
 		close(sub.c)
 		delete(s.subs, id)
 	}
@@ -397,7 +392,7 @@ func (s *Session) Close() error {
 // torn prefix. The context cancels the hunt cooperatively; nil means no
 // cancellation.
 func (s *Session) Hunt(ctx context.Context, src string) (*engine.Result, engine.Stats, error) {
-	return s.backend.Hunt(ctx, src)
+	return s.en.Hunt(ctx, src)
 }
 
 // advanceLocked moves parsed events through the reducer, appends whatever
@@ -426,11 +421,11 @@ func (s *Session) advanceLocked(flush bool) (IngestStats, error) {
 		sealed = append(s.replay, sealed...)
 		s.replay = nil
 	}
-	newEntities := s.backend.EntityTable().Since(s.lastEntityID)
+	newEntities := s.store.Log.Entities.Since(s.lastEntityID)
 	st.EntitiesAdded = len(newEntities)
 
 	if len(sealed) > 0 || len(newEntities) > 0 {
-		deltaFloor := s.backend.NextEventID()
+		deltaFloor := s.store.NextEventID()
 		if s.dur != nil {
 			// Write-ahead: the batch must be durable (per the fsync policy)
 			// before the in-memory apply. A WAL failure is handled exactly
@@ -442,7 +437,7 @@ func (s *Session) advanceLocked(flush bool) (IngestStats, error) {
 				return st, err
 			}
 		}
-		if err := s.backend.AppendBatch(newEntities, sealed); err != nil {
+		if err := s.store.AppendBatch(newEntities, sealed); err != nil {
 			// AppendBatch rolled back; stash the sealed events (the reducer
 			// no longer holds them) and leave lastEntityID where it was so
 			// the retry re-collects the same entity delta.
@@ -454,7 +449,7 @@ func (s *Session) advanceLocked(flush bool) (IngestStats, error) {
 			// session's durable frontier.
 			s.dur.seq++
 		}
-		s.lastEntityID = s.backend.EntityTable().MaxID()
+		s.lastEntityID = s.store.Log.Entities.MaxID()
 		if len(sealed) > 0 {
 			s.batch++
 			st.Firings = s.fireLocked(deltaFloor)
@@ -465,7 +460,7 @@ func (s *Session) advanceLocked(flush bool) (IngestStats, error) {
 				// (a failed append returns above and replays later, so
 				// the retried events are tagged exactly once).
 				t0 := time.Now()
-				rs := s.tact.RoundOn(s.backend.TacticalSource(), deltaFloor)
+				rs := s.tact.Round(s.store.Snapshot(), deltaFloor)
 				st.AlertsTagged = rs.Alerts
 				st.IncidentsOpen = rs.Incidents
 				if rs.Alerts > 0 {

@@ -132,7 +132,7 @@ func (s *Session) Watch(src string) (*Subscription, error) {
 	// deliver every pre-Watch binding as a fresh match.
 	if engine.HasVarLenPath(a) {
 		sub.seeded = true
-		res, _, err := s.backend.Execute(nil, a)
+		res, _, err := s.en.Execute(nil, a)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +153,7 @@ func (s *Session) Unwatch(sub *Subscription) {
 	defer s.mu.Unlock()
 	if cur, ok := s.subs[sub.ID]; ok && cur == sub {
 		delete(s.subs, sub.ID)
-		s.backend.DropViews(sub.analyzed)
+		s.en.DropViews(sub.analyzed)
 		close(sub.c)
 	}
 }
@@ -183,7 +183,7 @@ func (s *Session) fireLocked(deltaFloor int64) int {
 			sub.resets++
 			sub.mu.Unlock()
 		}
-		res, _, err := s.backend.ExecuteDelta(nil, sub.analyzed, deltaFloor)
+		res, _, err := s.en.ExecuteDelta(nil, sub.analyzed, deltaFloor)
 		if err == nil {
 			err = faultinject.Hit(FaultDeliver)
 		}
@@ -201,7 +201,7 @@ func (s *Session) fireLocked(deltaFloor int64) int {
 				// burning every batch. Drop its views, deliver a terminal
 				// marker best-effort, and close the channel.
 				delete(s.subs, sub.ID)
-				s.backend.DropViews(sub.analyzed)
+				s.en.DropViews(sub.analyzed)
 				select {
 				case sub.c <- Match{Batch: s.batch, Terminal: true}:
 				default:

@@ -165,81 +165,36 @@ func (a *Analyzer) Stats() Stats {
 	return Stats{AlertsTagged: a.tagged, Rounds: a.rounds, Incidents: len(a.incidents)}
 }
 
-// Source is the pinned store generation a tactical round reads: an event
-// frontier, the per-batch op bitmap, the ID-ordered event slice, dense
-// entity resolution, and time-bounded adjacency visits. engine.Snapshot
-// satisfies it through the SnapSource adapter; a sharded store (see
-// internal/shard) feeds the analyzer its global snapshot the same way, so
-// the analyzer itself never knows about sharding.
-type Source interface {
-	// Frontier is the exclusive event-ID ceiling: every readable event
-	// has ID < Frontier().
-	Frontier() int64
-	// OpMaskBetween folds the op-code bits of events with ID in [lo, hi)
-	// (conservative supersets allowed).
-	OpMaskBetween(lo, hi int64) uint32
-	// EventsSince returns the events with ID >= lo in ascending ID order.
-	EventsSince(lo int64) []audit.Event
-	// Entity resolves an entity ID (nil when unknown).
-	Entity(id int64) *audit.Entity
-	// VisitEventEdges calls fn for every event edge incident to entity id
-	// with start_time <= maxStart: outgoing first, then incoming, each in
-	// ascending (start_time, event ID) order; fn returning false stops.
-	VisitEventEdges(id int64, maxStart int64, fn func(graphdb.EventEdgeRef) bool)
-}
-
-// SnapSource adapts an engine snapshot to the Source interface.
-type SnapSource struct{ Snap *engine.Snapshot }
-
-func (s SnapSource) Frontier() int64                   { return s.Snap.NextEventID }
-func (s SnapSource) OpMaskBetween(lo, hi int64) uint32 { return s.Snap.OpMaskBetween(lo, hi) }
-func (s SnapSource) Entity(id int64) *audit.Entity     { return snapEntity(s.Snap, id) }
-func (s SnapSource) EventsSince(lo int64) []audit.Event {
-	events := s.Snap.Events
-	start := sort.Search(len(events), func(i int) bool { return events[i].ID >= lo })
-	return events[start:]
-}
-func (s SnapSource) VisitEventEdges(id int64, maxStart int64, fn func(graphdb.EventEdgeRef) bool) {
-	s.Snap.Graph.VisitEventEdges(id, maxStart, fn)
-}
-
 // Round runs one tactical round over the events with IDs in
 // [lo, snap.NextEventID): tags them against the rule set, attributes the
 // alerts to incidents, and rescores the touched incidents. It reads only
 // the pinned snapshot, so it runs strictly after AppendBatch published —
 // a rolled-back append was never published and can produce no alert.
+// A nil snapshot counts the round but tags nothing.
 func (a *Analyzer) Round(snap *engine.Snapshot, lo int64) RoundStats {
-	if snap == nil {
-		return a.RoundOn(nil, lo)
-	}
-	return a.RoundOn(SnapSource{Snap: snap}, lo)
-}
-
-// RoundOn is Round over an abstract source (nil behaves like a nil
-// snapshot: the round counts but tags nothing).
-func (a *Analyzer) RoundOn(src Source, lo int64) RoundStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.rounds++
 	rs := RoundStats{Incidents: len(a.incidents)}
 	set := a.cfg.Rules
-	if set == nil || src == nil {
+	if set == nil || snap == nil {
 		return rs
 	}
-	hi := src.Frontier()
+	hi := snap.NextEventID
 	if lo < 1 {
 		lo = 1
 	}
-	if src.OpMaskBetween(lo, hi)&set.OpMask() == 0 {
+	if snap.OpMaskBetween(lo, hi)&set.OpMask() == 0 {
 		// No event in the delta carries any rule's trigger operation.
 		return rs
 	}
-	events := src.EventsSince(lo)
+	events := snap.Events
+	events = events[sort.Search(len(events), func(i int) bool { return events[i].ID >= lo }):]
 	touched := map[int]bool{}
 	for i := 0; i < len(events) && events[i].ID < hi; i++ {
 		ev := &events[i]
-		subj := src.Entity(ev.SubjectID)
-		obj := src.Entity(ev.ObjectID)
+		subj := snapEntity(snap, ev.SubjectID)
+		obj := snapEntity(snap, ev.ObjectID)
 		a.matchBuf = set.Match(ev, subj, obj, a.matchBuf[:0])
 		for _, ri := range a.matchBuf {
 			r := set.Rule(ri)
@@ -260,7 +215,7 @@ func (a *Analyzer) RoundOn(src Source, lo int64) RoundStats {
 			}
 			a.tagged++
 			rs.Alerts++
-			if a.attribute(src, al, touched) {
+			if a.attribute(snap, al, touched) {
 				rs.NewIncidents++
 			}
 		}
@@ -276,8 +231,8 @@ func (a *Analyzer) RoundOn(src Source, lo int64) RoundStats {
 
 // attribute assigns one alert to an incident, opening a new one when no
 // causal predecessor is marked. Returns true when a new incident opened.
-func (a *Analyzer) attribute(src Source, al Alert, touched map[int]bool) bool {
-	idx, path := a.findIncident(src, al)
+func (a *Analyzer) attribute(snap *engine.Snapshot, al Alert, touched map[int]bool) bool {
+	idx, path := a.findIncident(snap, al)
 	opened := false
 	if idx < 0 {
 		inc := &Incident{
@@ -352,7 +307,7 @@ func (a *Analyzer) mark(id int64, idx int, inc *Incident) {
 // reached decides the incident, and the connecting path (alert subject
 // exclusive, marked entity inclusive) is returned for the IIP subgraph.
 // Direct marks on the subject or object short-circuit the traversal.
-func (a *Analyzer) findIncident(src Source, al Alert) (int, []int64) {
+func (a *Analyzer) findIncident(snap *engine.Snapshot, al Alert) (int, []int64) {
 	if idx, ok := a.marked[al.SubjectID]; ok {
 		return idx, nil
 	}
@@ -373,7 +328,7 @@ func (a *Analyzer) findIncident(src Source, al Alert) (int, []int64) {
 			continue
 		}
 		foundIdx, foundID := -1, int64(0)
-		src.VisitEventEdges(id, v.bound, func(e graphdb.EventEdgeRef) bool {
+		snap.Graph.VisitEventEdges(id, v.bound, func(e graphdb.EventEdgeRef) bool {
 			// Causal predecessor: information flows against the edge for
 			// read/receive (object -> subject), with it otherwise
 			// (subject -> object) — the provenance-graph convention.
@@ -480,14 +435,6 @@ func (a *Analyzer) Ranked() []Incident {
 func Analyze(snap *engine.Snapshot, cfg Config) []Incident {
 	a := NewAnalyzer(cfg)
 	a.Round(snap, 1)
-	return a.Ranked()
-}
-
-// AnalyzeOn is Analyze over an abstract source (a sharded store's global
-// snapshot, typically).
-func AnalyzeOn(src Source, cfg Config) []Incident {
-	a := NewAnalyzer(cfg)
-	a.RoundOn(src, 1)
 	return a.Ranked()
 }
 

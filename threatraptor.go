@@ -34,7 +34,6 @@ import (
 	"threatraptor/internal/reduction"
 	"threatraptor/internal/rules"
 	"threatraptor/internal/segment"
-	"threatraptor/internal/shard"
 	"threatraptor/internal/stream"
 	"threatraptor/internal/synth"
 	"threatraptor/internal/tactical"
@@ -63,18 +62,6 @@ type Options struct {
 	// HuntQueueTimeout is how long a hunt waits for a slot when
 	// MaxConcurrentHunts is reached (zero: reject immediately when full).
 	HuntQueueTimeout time.Duration
-	// Shards partitions the store into N host/time/hash partitions with
-	// scatter-gather hunt execution (see internal/shard): pattern data
-	// queries route only to the partitions their window, operation, and
-	// host predicates can touch and run concurrently against per-shard
-	// snapshots, while the global store stays authoritative for
-	// variable-length paths, fuzzy search, and the tactical layer.
-	// 0 or 1 keeps the classic single store.
-	Shards int
-	// PartitionBy selects the sharding key: "hash" (event ID, the
-	// default), "host" (subject entity's host), or "time"/"time:<dur>"
-	// (start-time slices). Ignored unless Shards > 1.
-	PartitionBy string
 	// Rules is the compiled detection rule set for the tactical layer.
 	// When set, the live session tags rule-matching events per sealed
 	// batch and maintains ranked incidents (Incidents, WatchIncidents).
@@ -121,10 +108,6 @@ type System struct {
 	extractor *extract.Extractor
 	store     *engine.Store
 	engine    *engine.Engine
-	// shards is the sharded store coordinator (nil unless Options.Shards
-	// > 1); when set, store/engine alias its global store, so snapshot
-	// readers (fuzzy, tactical, explain) are unchanged.
-	shards *shard.Store
 	// live is the streaming ingestion session, created lazily by the
 	// first Ingest or Watch call. No read path locks against it: hunts,
 	// fuzzy search, explain, and incident listing all pin the engine's
@@ -170,24 +153,9 @@ func (s *System) LoadLog(log *audit.Log) error {
 	return s.buildStore(log)
 }
 
-// buildStore constructs the storage layer over an already-reduced log:
-// the classic single store, or (Options.Shards > 1) the sharded
-// coordinator whose global store the façade's snapshot readers alias.
+// buildStore constructs the store and its engine over an already-reduced
+// log.
 func (s *System) buildStore(log *audit.Log) error {
-	if s.opts.Shards > 1 {
-		part, err := shard.ParsePartitioner(s.opts.PartitionBy)
-		if err != nil {
-			return err
-		}
-		sh, err := shard.New(log, s.opts.Shards, part)
-		if err != nil {
-			return err
-		}
-		s.shards = sh
-		s.store = sh.Global()
-		s.engine = &engine.Engine{Store: s.store}
-		return nil
-	}
 	store, err := engine.NewStore(log)
 	if err != nil {
 		return err
@@ -196,10 +164,6 @@ func (s *System) buildStore(log *audit.Log) error {
 	s.engine = &engine.Engine{Store: store}
 	return nil
 }
-
-// ShardStore exposes the sharded store coordinator (nil unless
-// Options.Shards > 1): per-shard metrics, fan-out histogram.
-func (s *System) ShardStore() *shard.Store { return s.shards }
 
 // Live returns the streaming ingestion session, creating it on first use.
 // If an audit log was already loaded, the stream appends to that store;
@@ -224,11 +188,7 @@ func (s *System) Live() (*stream.Session, error) {
 			return nil, err
 		}
 	}
-	if s.shards != nil {
-		s.live = stream.NewWithBackend(s.shards, cfg)
-	} else {
-		s.live = stream.New(s.store, s.engine, cfg)
-	}
+	s.live = stream.New(s.store, s.engine, cfg)
 	return s.live, nil
 }
 
@@ -248,67 +208,19 @@ func (s *System) openDurable(cfg stream.Config) (*stream.Session, error) {
 	if s.store != nil && segment.Exists(s.opts.DataDir) {
 		return nil, fmt.Errorf("threatraptor: data dir %s holds persisted state but a log is already loaded; skip preloading to recover it, or point DataDir at a fresh directory", s.opts.DataDir)
 	}
-	fresh := func() (stream.DurableBackend, error) {
+	fresh := func() (*engine.Store, *engine.Engine, error) {
 		if s.store == nil {
 			if err := s.buildStore(audit.NewLog()); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
-		if s.shards != nil {
-			return s.shards, nil
-		}
-		return stream.NewBackend(s.store, s.engine), nil
+		return s.store, s.engine, nil
 	}
-	fromImages := func(imgs []segment.RoleImage, topo segment.Topology) (stream.DurableBackend, error) {
-		wantShards := 0
-		wantPart := ""
-		if s.opts.Shards > 1 {
-			p, err := shard.ParsePartitioner(s.opts.PartitionBy)
-			if err != nil {
-				return nil, err
-			}
-			wantShards, wantPart = s.opts.Shards, p.Name()
-		}
-		if topo.Shards != wantShards || topo.PartitionBy != wantPart {
-			return nil, fmt.Errorf(
-				"threatraptor: data dir %s was persisted with %d shards (partitioner %q) but the configuration wants %d (%q); reshard by rebuilding from the source log, or match the persisted topology",
-				s.opts.DataDir, topo.Shards, topo.PartitionBy, wantShards, wantPart)
-		}
-		if topo.Shards > 0 {
-			part, err := shard.ParsePartitioner(topo.PartitionBy)
-			if err != nil {
-				return nil, err
-			}
-			sh, err := shard.OpenImages(imgs, topo.Shards, part)
-			if err != nil {
-				return nil, err
-			}
-			s.shards = sh
-			s.store = sh.Global()
-			s.engine = &engine.Engine{Store: s.store}
-			return sh, nil
-		}
-		var gimg *segment.Image
-		for _, ri := range imgs {
-			if ri.Role == segment.RoleGlobal {
-				gimg = ri.Image
-			}
-		}
-		if gimg == nil {
-			return nil, fmt.Errorf("threatraptor: data dir %s has no %q segment", s.opts.DataDir, segment.RoleGlobal)
-		}
-		st, err := engine.OpenStore(gimg, gimg.EntityCols, gimg.Entities, audit.RestoreTable(gimg.Entities))
-		if err != nil {
-			return nil, err
-		}
-		s.store = st
-		s.engine = &engine.Engine{Store: st}
-		return stream.NewBackend(st, s.engine), nil
-	}
-	live, rs, err := stream.OpenDurable(cfg, fresh, fromImages)
+	live, rs, err := stream.OpenDurable(cfg, fresh)
 	if err != nil {
 		return nil, err
 	}
+	s.store, s.engine = live.Store(), live.Engine()
 	s.live = live
 	s.recovery = rs
 	return live, nil
@@ -407,12 +319,6 @@ func (s *System) Hunt(ctx context.Context, tbqlSrc string) (*engine.Result, engi
 		return nil, engine.Stats{}, err
 	}
 	defer release()
-	if s.live != nil {
-		return s.live.Hunt(ctx, tbqlSrc)
-	}
-	if s.shards != nil {
-		return s.shards.Hunt(ctx, tbqlSrc)
-	}
 	return s.engine.Hunt(ctx, tbqlSrc)
 }
 
